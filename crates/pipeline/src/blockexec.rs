@@ -21,15 +21,18 @@
 //! per-instruction path mid-block, reproducing the unoptimised
 //! behaviour exactly — see `Processor::step_block`.
 //!
-//! Bulk validation is additionally gated on the block containing no
-//! store before its final instruction ([`CachedBlock::bulk_ok`]): a
-//! store can write into the program's own text, and only per-word
-//! fetches observe such self-modification at the architecturally
+//! Blocks that contain stores stay on the bulk path. A store can write
+//! into the program's own text, so after each store
+//! ([`PredecodedEntry::is_store`]) the dispatch re-reads the memory's
+//! text epoch. An unchanged epoch proves no text byte moved and the
+//! dispatch goes on; a changed one ends it right after the store, and
+//! the next dispatch revalidates the rest of the block against the new
+//! memory — so self-modification is observed at the architecturally
 //! correct instant.
 
 use std::sync::Arc;
 
-use cimon_isa::{Instr, INSTR_BYTES};
+use cimon_isa::INSTR_BYTES;
 
 use crate::predecode::{PredecodedEntry, PredecodedImage};
 use crate::timing::{BlockPlan, TimingConfig};
@@ -38,17 +41,6 @@ use crate::timing::{BlockPlan, TimingConfig};
 /// even without control flow so one dispatch's bookkeeping (bulk
 /// comparison span, bail-out granularity) stays bounded.
 pub const MAX_BLOCK_LEN: usize = 64;
-
-/// Per-slot block metadata.
-#[derive(Clone, Copy, Debug)]
-struct BlockMeta {
-    /// Instructions in the block starting at this slot (0 when the slot
-    /// itself is undecodable — dispatch falls back to live decode).
-    len: u16,
-    /// Whether the block contains no store before its final
-    /// instruction, making up-front bulk validation sound.
-    bulk_ok: bool,
-}
 
 /// One cached basic block, resolved for a concrete start PC.
 #[derive(Clone, Copy, Debug)]
@@ -61,9 +53,6 @@ pub struct CachedBlock<'a> {
     /// The same span as instruction words — what a batched hash
     /// observe absorbs for a bulk-validated block.
     pub words: &'a [u32],
-    /// Whether bulk validation is sound for this block (no store before
-    /// the final instruction).
-    pub bulk_ok: bool,
 }
 
 /// The predecoded image grouped into basic blocks, shareable across
@@ -79,9 +68,11 @@ pub struct BlockCache {
     /// The predecoded words themselves, slot-aligned (the batched
     /// hash-observe form of `bytes`).
     words: Vec<u32>,
-    meta: Vec<BlockMeta>,
+    /// Per-slot length of the block starting there (0 when the slot
+    /// itself is undecodable — dispatch falls back to live decode).
+    lens: Vec<u16>,
     /// Per-slot static timing plan of the block's straight-line body
-    /// (empty plan where `meta.len <= 1`), precomputed under
+    /// (empty plan where `lens[slot] <= 1`), precomputed under
     /// `timing_config`.
     plans: Vec<BlockPlan>,
     /// The latency configuration the plans were built for — a
@@ -93,7 +84,7 @@ impl std::fmt::Debug for BlockCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockCache")
             .field("base", &format_args!("{:#010x}", self.base))
-            .field("slots", &self.meta.len())
+            .field("slots", &self.lens.len())
             .field("blocks", &self.block_count())
             .finish()
     }
@@ -115,13 +106,7 @@ impl BlockCache {
         let mut entries = Vec::new();
         let mut bytes = Vec::new();
         let mut words = Vec::new();
-        let mut meta = vec![
-            BlockMeta {
-                len: 0,
-                bulk_ok: true,
-            };
-            n
-        ];
+        let mut lens = vec![0u16; n];
         if let Some(ph) = placeholder {
             entries.reserve(n);
             bytes.reserve(n * 4);
@@ -133,19 +118,12 @@ impl BlockCache {
                 words.push(word);
                 entries.push(e);
             }
-            // Stores in slots [0, i): lets "any store before the block's
-            // last instruction" be answered with two lookups.
-            let mut store_prefix = vec![0u32; n + 1];
-            for i in 0..n {
-                let is_store = matches!(&slots[i], Some(e) if is_store_instr(&e.instr));
-                store_prefix[i + 1] = store_prefix[i] + is_store as u32;
-            }
             for i in (0..n).rev() {
-                let len = match &slots[i] {
+                lens[i] = match &slots[i] {
                     None => 0,
                     Some(e) if e.is_control_flow => 1,
                     Some(_) => {
-                        let next = if i + 1 < n { meta[i + 1].len } else { 0 };
+                        let next = if i + 1 < n { lens[i + 1] } else { 0 };
                         if next == 0 {
                             1
                         } else {
@@ -153,11 +131,6 @@ impl BlockCache {
                         }
                     }
                 };
-                meta[i].len = len;
-                if len > 0 {
-                    let last = i + len as usize - 1;
-                    meta[i].bulk_ok = store_prefix[last] == store_prefix[i];
-                }
             }
         }
         // Plan every slot's block body (all entries but the terminator)
@@ -166,7 +139,7 @@ impl BlockCache {
         // jump target mid-block replays its shorter schedule exactly.
         let plans = (0..n)
             .map(|i| {
-                let len = meta[i].len as usize;
+                let len = lens[i] as usize;
                 if len <= 1 {
                     BlockPlan::default()
                 } else {
@@ -180,7 +153,7 @@ impl BlockCache {
             entries,
             bytes,
             words,
-            meta,
+            lens,
             plans,
             timing_config,
         }
@@ -198,12 +171,12 @@ impl BlockCache {
 
     /// Number of instruction slots covered.
     pub fn len(&self) -> usize {
-        self.meta.len()
+        self.lens.len()
     }
 
     /// Whether the cache covers no instructions.
     pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+        self.lens.is_empty()
     }
 
     /// Number of distinct blocks when entered from fall-through order
@@ -211,8 +184,8 @@ impl BlockCache {
     pub fn block_count(&self) -> usize {
         let mut i = 0;
         let mut count = 0;
-        while i < self.meta.len() {
-            let len = self.meta[i].len.max(1) as usize;
+        while i < self.lens.len() {
+            let len = self.lens[i].max(1) as usize;
             i += len;
             count += 1;
         }
@@ -234,8 +207,8 @@ impl BlockCache {
             return None;
         }
         let idx = off / INSTR_BYTES;
-        match self.meta.get(idx as usize) {
-            Some(meta) if meta.len > 0 => Some(idx),
+        match self.lens.get(idx as usize) {
+            Some(&len) if len > 0 => Some(idx),
             _ => None,
         }
     }
@@ -251,14 +224,12 @@ impl BlockCache {
     #[inline]
     pub fn block_at_slot(&self, slot: u32) -> CachedBlock<'_> {
         let idx = slot as usize;
-        let meta = &self.meta[idx];
-        debug_assert!(meta.len > 0, "slot {slot} holds no block");
-        let len = meta.len as usize;
+        let len = self.lens[idx] as usize;
+        debug_assert!(len > 0, "slot {slot} holds no block");
         CachedBlock {
             entries: &self.entries[idx..idx + len],
             bytes: &self.bytes[4 * idx..4 * (idx + len)],
             words: &self.words[idx..idx + len],
-            bulk_ok: meta.bulk_ok,
         }
     }
 
@@ -274,11 +245,6 @@ impl BlockCache {
     pub fn timing_config(&self) -> TimingConfig {
         self.timing_config
     }
-}
-
-/// Whether an instruction writes data memory.
-fn is_store_instr(instr: &Instr) -> bool {
-    matches!(instr, Instr::I(i) if i.opcode.is_store())
 }
 
 #[cfg(test)]
@@ -330,21 +296,26 @@ mod tests {
     }
 
     #[test]
-    fn stores_before_the_block_end_disable_bulk_validation() {
+    fn stores_are_flagged_and_stay_inside_their_block() {
         let (cache, img) = cache_of(PROGRAM);
-        // Entry block contains a mid-block sw: bulk unsafe.
-        assert!(!cache.block_at(img.entry).unwrap().bulk_ok);
-        // Block starting right after the sw has no store: bulk ok.
-        assert!(cache.block_at(img.entry + 16).unwrap().bulk_ok);
+        // Entry block: li, li, addu, sw, addiu, bnez — the sw (slot 3)
+        // is flagged, and no other entry is.
+        let b = cache.block_at(img.entry).unwrap();
+        let stores: Vec<bool> = b.entries.iter().map(|e| e.is_store).collect();
+        assert_eq!(stores, [false, false, false, true, false, false]);
+        // A store does not cut its block: the loop block still runs
+        // through the sw to the bnez.
+        assert_eq!(cache.block_at(img.entry + 8).unwrap().entries.len(), 4);
         // Exit block is store-free.
-        assert!(cache.block_at(img.entry + 24).unwrap().bulk_ok);
+        let e = cache.block_at(img.entry + 24).unwrap();
+        assert!(e.entries.iter().all(|e| !e.is_store));
     }
 
     #[test]
-    fn store_as_final_instruction_keeps_bulk_validation() {
-        // A store that is the *last* instruction of a size-cut block
-        // cannot invalidate any word of its own block, only later
-        // fetches — bulk validation stays sound for that block.
+    fn store_as_final_instruction_of_a_size_cut_block() {
+        // A store can also be the *last* entry of a block cut at
+        // MAX_BLOCK_LEN; it is flagged there and in the shifted block
+        // where it sits mid-body.
         let mut src = String::from("    .text\nmain:\n");
         for _ in 0..(MAX_BLOCK_LEN - 1) {
             src.push_str("    addu $t0, $t0, $t1\n");
@@ -354,11 +325,11 @@ mod tests {
         let (cache, img) = cache_of(&src);
         let b = cache.block_at(img.entry).unwrap();
         assert_eq!(b.entries.len(), MAX_BLOCK_LEN);
-        assert!(b.bulk_ok, "final-slot store must not disable bulk");
-        // One slot later the store sits mid-block: bulk is unsafe.
+        assert!(b.entries[MAX_BLOCK_LEN - 1].is_store);
+        assert!(b.entries[..MAX_BLOCK_LEN - 1].iter().all(|e| !e.is_store));
         let shifted = cache.block_at(img.entry + 4).unwrap();
         assert_eq!(shifted.entries.len(), MAX_BLOCK_LEN);
-        assert!(!shifted.bulk_ok);
+        assert!(shifted.entries[MAX_BLOCK_LEN - 2].is_store);
     }
 
     #[test]
@@ -417,7 +388,6 @@ mod tests {
                     assert_eq!(a.entries.len(), b.entries.len());
                     assert_eq!(a.bytes, b.bytes);
                     assert_eq!(a.words.len(), a.entries.len());
-                    assert_eq!(a.bulk_ok, b.bulk_ok);
                     // Words mirror the bytes word for word.
                     for (w, c) in a.words.iter().zip(a.bytes.chunks_exact(4)) {
                         assert_eq!(*w, u32::from_le_bytes(c.try_into().unwrap()));

@@ -49,6 +49,10 @@ pub struct PredecodedEntry {
     pub dest: Option<Reg>,
     /// Whether this instruction ends a basic block.
     pub is_control_flow: bool,
+    /// Whether this instruction writes data memory. Block dispatch
+    /// re-reads the memory's text epoch after each one, because a store
+    /// may rewrite words the block has yet to execute.
+    pub is_store: bool,
     /// The registers read, as a bitmask the scheduler's
     /// [`Timing::issue_masks`](crate::timing::Timing::issue_masks) fast
     /// path consumes: bit `i` for GPR `i` (`$zero` never set), bits
@@ -111,6 +115,7 @@ impl PredecodedEntry {
             sources,
             dest,
             is_control_flow: instr.is_control_flow(),
+            is_store: matches!(&instr, Instr::I(i) if i.opcode.is_store()),
             src_mask,
             dest_mask,
             target,
@@ -271,6 +276,10 @@ mod tests {
             assert_eq!(e.sources.as_slice(), &e.instr.sources()[..]);
             assert_eq!(e.dest, e.instr.dest());
             assert_eq!(e.is_control_flow, e.instr.is_control_flow());
+            assert_eq!(
+                e.is_store,
+                matches!(&e.instr, Instr::I(i) if i.opcode.is_store())
+            );
         }
     }
 

@@ -82,6 +82,12 @@ pub struct BlockExecStats {
     /// Mid-block surprises (delivered word differing from its
     /// predecoded form) that bailed out to the per-instruction path.
     pub bailouts: u64,
+    /// Bulk dispatches that ended right after a store before the
+    /// block's last instruction, because the store wrote the program
+    /// text (bumped the memory's text epoch); the next dispatch
+    /// revalidates the rest of the block. Separate from `bailouts`,
+    /// which counts word divergence.
+    pub splits: u64,
     /// Instructions retired inside dispatched blocks.
     pub instructions: u64,
     /// Largest number of instructions retired by one dispatch.
@@ -826,6 +832,7 @@ impl ProcessorSnapshot {
         }
         e.u64(self.block_stats.dispatches);
         e.u64(self.block_stats.bailouts);
+        e.u64(self.block_stats.splits);
         e.u64(self.block_stats.instructions);
         e.u64(self.block_stats.max_block);
         e.u64(self.block_stats.chain_hits);
@@ -919,6 +926,7 @@ impl ProcessorSnapshot {
         let block_stats = BlockExecStats {
             dispatches: d.u64()?,
             bailouts: d.u64()?,
+            splits: d.u64()?,
             instructions: d.u64()?,
             max_block: d.u64()?,
             chain_hits: d.u64()?,
@@ -1912,17 +1920,19 @@ impl Processor {
         };
         let block = cache.block_at_slot(slot);
 
-        // Bulk validation: with a clean bus and no mid-block store, one
-        // comparison against the dense text region proves every word
-        // the per-word path would fetch. Ineligibility (tap installed,
-        // self-modification possible, block outside the dense region)
-        // or failure (tampering) selects per-word fetching, which is
-        // exact in all cases and bails out at the diverging word.
-        // A comparison that passed stays proven while the memory's
-        // dense-region epoch is unchanged (no write has landed in the
-        // text), so hot re-dispatches skip the bytes entirely.
-        let bulk = !self.env.bus.has_tap() && block.bulk_ok && {
-            let epoch = self.env.mem.dense_epoch();
+        // Bulk validation: with a clean bus, one comparison against the
+        // dense text region proves every word the per-word path would
+        // fetch. Ineligibility (tap installed, block outside the dense
+        // region) or failure (tampering) selects per-word fetching,
+        // which is exact in all cases and bails out at the diverging
+        // word. A comparison that passed stays proven while the
+        // memory's dense-region epoch is unchanged (no write has landed
+        // in the text), so hot re-dispatches skip the bytes entirely.
+        // The bulk loops re-read the epoch after every store that is not
+        // the block's last instruction, and split the dispatch when one
+        // wrote the text.
+        let epoch = self.env.mem.dense_epoch();
+        let bulk = !self.env.bus.has_tap() && {
             self.validated[slot as usize] == epoch || {
                 let ok = match self.env.mem.dense_region() {
                     Some((base, bytes)) => {
@@ -1986,6 +1996,7 @@ impl Processor {
                     block.entries,
                     block.words,
                     plan,
+                    epoch,
                     monitored,
                     &mut sta,
                     &mut rhash,
@@ -1994,6 +2005,7 @@ impl Processor {
             } else {
                 self.block_loop::<true>(
                     block.entries,
+                    epoch,
                     monitored,
                     &mut sta,
                     &mut rhash,
@@ -2001,7 +2013,14 @@ impl Processor {
                 )
             }
         } else {
-            self.block_loop::<false>(block.entries, monitored, &mut sta, &mut rhash, &mut reached)
+            self.block_loop::<false>(
+                block.entries,
+                epoch,
+                monitored,
+                &mut sta,
+                &mut rhash,
+                &mut reached,
+            )
         };
         if bulk {
             // Bulk validation stood in for the per-word fetches of
@@ -2045,11 +2064,18 @@ impl Processor {
             BlockLoopExit::Done { taken } => {
                 // A clean bulk-validated dispatch links its resolved
                 // control transfer for the next dispatch; per-word
-                // dispatches (self-modification or taps possible) never
-                // form chains.
+                // dispatches (taps or tampering possible) never form
+                // chains.
                 if bulk && !self.chain.is_empty() {
                     self.chain_from = Some((slot, taken));
                 }
+                None
+            }
+            BlockLoopExit::Split => {
+                // A store wrote the text: the next dispatch starts at
+                // the instruction after it, unchained, and revalidates
+                // against the new memory.
+                self.block_stats.splits += 1;
                 None
             }
             BlockLoopExit::Bail { .. } => unreachable!("handled above"),
@@ -2058,20 +2084,26 @@ impl Processor {
 
     /// The per-instruction body of one block dispatch, specialised on
     /// the validation mode: with `BULK` the block's words were already
-    /// proven identical to memory, so the loop carries no fetch calls,
-    /// word comparisons, or bail-out arm at all; without it every word
-    /// goes through the real fetch bus (taps fire in order) and any
+    /// proven identical to memory at text epoch `epoch`, so the loop
+    /// carries no fetch calls, word comparisons, or bail-out arm — only
+    /// an epoch re-read after each store before the last entry, which
+    /// exits with [`BlockLoopExit::Split`] once a store wrote the text
+    /// (a final store leaves none of the block to revalidate); without
+    /// it every word goes through the real fetch bus (taps fire in
+    /// order, self-modification is fetched as written) and any
     /// divergence exits with [`BlockLoopExit::Bail`].
     fn block_loop<const BULK: bool>(
         &mut self,
         entries: &[PredecodedEntry],
+        epoch: u64,
         monitored: bool,
         sta: &mut u32,
         rhash: &mut u32,
         reached: &mut u64,
     ) -> BlockLoopExit {
         let mut taken = false;
-        for entry in entries {
+        let last = entries.len() - 1;
+        for (i, entry) in entries.iter().enumerate() {
             let pc = self.pc;
             if self.fast.is_none() && self.timing.cycles() > self.max_cycles {
                 return BlockLoopExit::Finished(RunOutcome::MaxCycles);
@@ -2144,6 +2176,9 @@ impl Processor {
                 return BlockLoopExit::Finished(RunOutcome::Exited { code });
             }
             self.pc = exec.next_pc;
+            if BULK && entry.is_store && i < last && self.env.mem.dense_epoch() != epoch {
+                return BlockLoopExit::Split;
+            }
         }
         BlockLoopExit::Done { taken }
     }
@@ -2161,20 +2196,23 @@ impl Processor {
     /// terminator's poll, so skipping the per-body-entry polls and
     /// issues is exact. The body contains no control flow by
     /// construction, so it cannot exit, redirect, or resolve monitor
-    /// verdicts; and bulk validation already excluded stores before
-    /// the terminator, so executing the body touches neither memory
-    /// text nor the monitor — which is what lets the hash observes of
-    /// the executed words batch into one [`Monitor::observe_block`]
-    /// call after the body completes (same words, same order, same
-    /// `words_hashed` count as observing each before its execute).
-    /// The only early exit is an execution fault, which observes and
-    /// issues exactly the prefix sequential stepping would have.
+    /// verdicts, and executing it never touches the monitor. A body
+    /// store that leaves the text epoch at `epoch` left every word the
+    /// block has yet to execute as validated — which is what lets the
+    /// hash observes of the executed words batch into one
+    /// [`Monitor::observe_block`] call after the body completes (same
+    /// words, same order, same `words_hashed` count as observing each
+    /// before its execute). There are two early exits, each observing
+    /// and issuing exactly the prefix sequential stepping would have:
+    /// an execution fault, and a store that wrote the text
+    /// ([`BlockLoopExit::Split`], right after the store).
     #[allow(clippy::too_many_arguments)]
     fn block_loop_planned(
         &mut self,
         entries: &[PredecodedEntry],
         words: &[u32],
         plan: &crate::timing::BlockPlan,
+        epoch: u64,
         monitored: bool,
         sta: &mut u32,
         rhash: &mut u32,
@@ -2187,7 +2225,7 @@ impl Processor {
         if self.record_blocks && self.shadow_block_start.is_none() {
             self.shadow_block_start = Some(start_pc);
         }
-        let mut fault = None;
+        let mut early = None;
         let mut executed = 0usize;
         for entry in body {
             debug_assert!(!entry.is_control_flow, "body entries are straight-line");
@@ -2197,20 +2235,29 @@ impl Processor {
                     debug_assert!(!exec.taken && exec.exit.is_none());
                     self.pc = exec.next_pc;
                     executed += 1;
+                    if entry.is_store && self.env.mem.dense_epoch() != epoch {
+                        early = Some(BlockLoopExit::Split);
+                        break;
+                    }
                 }
                 Err(f) => {
-                    fault = Some(f);
+                    early = Some(BlockLoopExit::Finished(RunOutcome::Fault(f)));
                     break;
                 }
             }
         }
-        if let Some(f) = fault {
+        if let Some(exit) = early {
             // Sequential stepping observes an instruction's word before
-            // executing it, so the faulting instruction is observed too
-            // — but nothing past it. A faulting instruction never
-            // issues: commit the prefix that did, exactly as sequential
-            // stepping would have left the schedule.
-            let observed = executed + 1;
+            // executing it, so the last instruction reached (the store
+            // that wrote the text, or the faulting one) is observed too
+            // — but nothing past it. Commit the prefix that issued, one
+            // instruction at a time, exactly as sequential stepping
+            // would have left the schedule; a faulting instruction
+            // never issues.
+            let observed = match exit {
+                BlockLoopExit::Split => executed,
+                _ => executed + 1,
+            };
             *reached += observed as u64;
             if monitored {
                 *rhash = self.env.monitor.observe_block(&words[..observed]);
@@ -2222,7 +2269,7 @@ impl Processor {
                 self.issue_or_record(e.klass, e.src_mask, e.dest_mask, false);
             }
             self.instret += executed as u64;
-            return BlockLoopExit::Finished(RunOutcome::Fault(f));
+            return exit;
         }
 
         // The body completed, and `plan_fits` already proved the cycle
@@ -2625,6 +2672,10 @@ enum BlockLoopExit {
     },
     /// The run ended (exit, fault, detection, cycle budget).
     Finished(RunOutcome),
+    /// A store before the block's last instruction wrote the program
+    /// text: the bulk dispatch ended right after it, and the next one
+    /// revalidates.
+    Split,
     /// A delivered word diverged from its predecoded form: the current
     /// instruction must complete on the per-instruction path.
     Bail { pc: u32, word: u32 },

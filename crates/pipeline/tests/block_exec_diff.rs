@@ -1,13 +1,14 @@
 //! Differential property tests for basic-block superblock dispatch.
 //!
 //! Block execution is a pure dispatch optimisation: for random programs
-//! — with in-flight fetch-bus fault taps, stored-image tampering, and
-//! mid-block cycle-budget interrupts thrown in — a processor executing
-//! whole cached blocks per dispatch must produce byte-identical
-//! outcomes, statistics (including every monitor counter), cycle
-//! counts, and architectural state to one stepping instruction by
-//! instruction. The deterministic tests at the bottom additionally
-//! prove the mid-block bail-out path actually fires.
+//! — with stores into their own text, in-flight fetch-bus fault taps,
+//! stored-image tampering, and mid-block cycle-budget interrupts thrown
+//! in — a processor executing whole cached blocks per dispatch must
+//! produce byte-identical outcomes, statistics (including every checker
+//! and OS counter), cycle counts, and architectural state to one
+//! stepping instruction by instruction. The deterministic tests at the
+//! bottom additionally prove the mid-block bail-out and split paths
+//! actually fire.
 
 use proptest::prelude::*;
 
@@ -16,7 +17,7 @@ use cimon_core::hash::hash_words;
 use cimon_core::{BlockRecord, CicConfig, HashAlgoKind};
 use cimon_mem::BusTap;
 use cimon_os::FullHashTable;
-use cimon_pipeline::{BlockExec, Processor, ProcessorConfig, RunOutcome};
+use cimon_pipeline::{BlockExec, BlockExecStats, Processor, ProcessorConfig, RunOutcome};
 
 /// A one-shot transient fault: flip `bit` of the word fetched from
 /// `target`, once.
@@ -38,10 +39,95 @@ impl BusTap for OneShot {
 }
 
 /// A generated random program: straight-line ALU/memory traffic with
-/// forward branches (termination by construction) and a clean exit.
+/// forward branches (termination by construction), stores into its own
+/// text, and a clean exit.
 #[derive(Clone, Debug)]
 struct RandomProgram {
     source: String,
+}
+
+/// The generator behind [`arb_program`]: `n` body instructions drawn
+/// from `seed`.
+///
+/// Text stores go through registers the prologue loads: `$s0`/`$s1`
+/// point at two body words A and B, `$s2` holds A's original word
+/// (storing it back rewrites the text without changing it), and
+/// `$s3`/`$s4` hold donor words — decodable ALU instructions placed
+/// after the exit that never run themselves. Every text store is one
+/// instruction, so it lands at the first, a middle or the last body
+/// position of its block; A and B may be a later word of the same
+/// block or a word of another block. Donors are ALU instructions, so a
+/// patched program still only branches forward and terminates.
+fn random_program(n: usize, seed: u64) -> RandomProgram {
+    use std::fmt::Write as _;
+    let mut src = String::from("    .data\nbuf: .word ");
+    let mut x = seed;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) as u32
+    };
+    for i in 0..16 {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(src, "{sep}{}", next());
+    }
+    src.push_str("\n    .text\nmain:\n");
+    for r in 0..8 {
+        let _ = writeln!(src, "    li $t{r}, {}", next() as i32 % 1000);
+    }
+    let target_a = 1 + next() as usize % (n - 1);
+    let target_b = next() as usize % n;
+    let _ = writeln!(
+        src,
+        "    la $s0, L{target_a}\n    la $s1, L{target_b}\n    lw $s2, 0($s0)"
+    );
+    src.push_str("    la $s3, D0\n    lw $s3, 0($s3)\n    la $s4, D1\n    lw $s4, 0($s4)\n");
+    let regs = ["$t0", "$t1", "$t2", "$t3", "$t4", "$t5", "$t6", "$t7"];
+    for i in 0..n {
+        let _ = writeln!(src, "L{i}:");
+        let a = regs[(next() % 8) as usize];
+        let b = regs[(next() % 8) as usize];
+        let c = regs[(next() % 8) as usize];
+        // Half the programs patch A from the word right before it: the
+        // store's target is the next word of its own block (or, when A
+        // is a branch, the block's terminator).
+        let op = if i + 1 == target_a && seed % 2 == 0 {
+            12 + next() % 2
+        } else {
+            next() % 15
+        };
+        let line = match op {
+            0 => format!("addu {a}, {b}, {c}"),
+            1 => format!("subu {a}, {b}, {c}"),
+            2 => format!("xor {a}, {b}, {c}"),
+            3 => format!("slt {a}, {b}, {c}"),
+            4 => format!("addiu {a}, {b}, {}", next() as i32 % 100),
+            5 => format!("sll {a}, {b}, {}", next() % 8),
+            6 => format!("lw {a}, {}($gp)", (next() % 16) * 4),
+            7 => format!("sw {a}, {}($gp)", (next() % 16) * 4),
+            8 => format!("mult {a}, {b}"),
+            9 => format!("mflo {a}"),
+            // Text stores: A's own word back, a donor over A, a donor
+            // over B.
+            12 => "sw $s2, 0($s0)".into(),
+            13 => "sw $s3, 0($s0)".into(),
+            14 => "sw $s4, 0($s1)".into(),
+            _ => {
+                // Forward branch: termination stays guaranteed.
+                let dest = i + 1 + (next() as usize % (n - i));
+                let op = if next() % 2 == 0 { "beq" } else { "bne" };
+                format!("{op} {a}, {b}, L{dest}")
+            }
+        };
+        let _ = writeln!(src, "    {line}");
+    }
+    let _ = writeln!(src, "L{n}:");
+    src.push_str("    move $a0, $t0\n    li $v0, 10\n    syscall\n");
+    let r = next() % 8;
+    let _ = writeln!(src, "D0: addiu $t{r}, $t{r}, {}", 1 + next() % 50);
+    let _ = writeln!(src, "D1: xor $t{r}, $t{r}, $t{}", next() % 8);
+    RandomProgram { source: src }
 }
 
 prop_compose! {
@@ -49,49 +135,7 @@ prop_compose! {
         n in 8usize..40,
         seed in any::<u64>(),
     ) -> RandomProgram {
-        use std::fmt::Write as _;
-        let mut src = String::from("    .data\nbuf: .word ");
-        let mut x = seed;
-        let mut next = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (x >> 33) as u32
-        };
-        for i in 0..16 {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(src, "{sep}{}", next());
-        }
-        src.push_str("\n    .text\nmain:\n");
-        for r in 0..8 {
-            let _ = writeln!(src, "    li $t{r}, {}", next() as i32 % 1000);
-        }
-        let regs = ["$t0", "$t1", "$t2", "$t3", "$t4", "$t5", "$t6", "$t7"];
-        for i in 0..n {
-            let _ = writeln!(src, "L{i}:");
-            let a = regs[(next() % 8) as usize];
-            let b = regs[(next() % 8) as usize];
-            let c = regs[(next() % 8) as usize];
-            match next() % 12 {
-                0 => { let _ = writeln!(src, "    addu {a}, {b}, {c}"); }
-                1 => { let _ = writeln!(src, "    subu {a}, {b}, {c}"); }
-                2 => { let _ = writeln!(src, "    xor {a}, {b}, {c}"); }
-                3 => { let _ = writeln!(src, "    slt {a}, {b}, {c}"); }
-                4 => { let _ = writeln!(src, "    addiu {a}, {b}, {}", next() as i32 % 100); }
-                5 => { let _ = writeln!(src, "    sll {a}, {b}, {}", next() % 8); }
-                6 => { let _ = writeln!(src, "    lw {a}, {}($gp)", (next() % 16) * 4); }
-                7 => { let _ = writeln!(src, "    sw {a}, {}($gp)", (next() % 16) * 4); }
-                8 => { let _ = writeln!(src, "    mult {a}, {b}"); }
-                9 => { let _ = writeln!(src, "    mflo {a}"); }
-                _ => {
-                    // Forward branch: termination stays guaranteed.
-                    let dest = i + 1 + (next() as usize % (n - i));
-                    let op = if next() % 2 == 0 { "beq" } else { "bne" };
-                    let _ = writeln!(src, "    {op} {a}, {b}, L{dest}");
-                }
-            }
-        }
-        let _ = writeln!(src, "L{n}:");
-        src.push_str("    move $a0, $t0\n    li $v0, 10\n    syscall\n");
-        RandomProgram { source: src }
+        random_program(n, seed)
     }
 }
 
@@ -102,14 +146,16 @@ fn with_block_exec(mut config: ProcessorConfig, on: bool, max_cycles: u64) -> Pr
 }
 
 /// Run the same configuration with block dispatch on and off and assert
-/// byte-identical results. `prepare` may tamper or install taps; it is
-/// invoked identically on both processors.
+/// byte-identical results (`RunStats` carries the checker's `CicStats`
+/// and the OS's `OsStats`). `prepare` may tamper or install taps; it is
+/// invoked identically on both processors. Returns the block-dispatch
+/// counters of the fast processor.
 fn assert_equivalent(
     image: &cimon_mem::ProgramImage,
     config: &ProcessorConfig,
     max_cycles: u64,
     prepare: impl Fn(&mut Processor),
-) {
+) -> BlockExecStats {
     let mut fast = Processor::new(image, with_block_exec(config.clone(), true, max_cycles));
     let mut slow = Processor::new(image, with_block_exec(config.clone(), false, max_cycles));
     prepare(&mut fast);
@@ -128,6 +174,23 @@ fn assert_equivalent(
     // fast one must have (every program starts on a cached block).
     assert_eq!(slow.block_stats().dispatches, 0);
     assert!(fast.block_stats().dispatches > 0);
+    fast.block_stats()
+}
+
+/// The cycle count right after each store that wrote the program text,
+/// from per-instruction stepping.
+fn text_store_cycles(image: &cimon_mem::ProgramImage, config: &ProcessorConfig) -> Vec<u64> {
+    let mut cpu = Processor::new(image, with_block_exec(config.clone(), false, 100_000));
+    let mut ends = Vec::new();
+    loop {
+        let epoch = cpu.mem().dense_epoch();
+        if cpu.step().is_some() {
+            return ends;
+        }
+        if cpu.mem().dense_epoch() != epoch {
+            ends.push(cpu.cycles());
+        }
+    }
 }
 
 /// The exact FHT for a program from its recorded block trace.
@@ -203,6 +266,31 @@ proptest! {
                 let old = cpu.mem().read_u32(victim).unwrap();
                 cpu.mem_mut().write_u32(victim, old ^ (1 << bit)).unwrap();
             });
+        }
+    }
+
+    #[test]
+    fn cycle_budget_expiring_right_after_a_text_store_interrupts_identically(
+        p in arb_program(),
+        pick in any::<prop::sample::Index>(),
+    ) {
+        // Budgets around the cycle a text store retires on: the run
+        // stops on the store, on the instruction right after it (the
+        // first one of the split-off dispatch), or just past it.
+        let prog = assemble(&p.source).expect("generated program assembles");
+        let fht = trace_fht(&prog.image);
+        for config in [
+            ProcessorConfig::baseline(),
+            ProcessorConfig::monitored(CicConfig::with_entries(8), fht),
+        ] {
+            let ends = text_store_cycles(&prog.image, &config);
+            if ends.is_empty() {
+                continue;
+            }
+            let end = ends[pick.index(ends.len())];
+            for max_cycles in end.saturating_sub(2)..=end + 1 {
+                assert_equivalent(&prog.image, &config, max_cycles, |_| {});
+            }
         }
     }
 
@@ -329,9 +417,10 @@ fn self_modifying_store_is_observed_exactly() {
     // A program that overwrites its own upcoming instruction: the store
     // targets the `addiu $a0, $a0, 1` that runs right after it inside
     // the same basic block, replacing it with `addiu $a0, $a0, 7`.
-    // Per-word fetching (forced by the mid-block store) must observe
-    // the new word at the architecturally correct instant and bail to
-    // live decode — identically with block dispatch on and off.
+    // The store bumps the text epoch, so the bulk dispatch splits right
+    // after it; the next dispatch fails revalidation, fetches the new
+    // word at the architecturally correct instant and bails to live
+    // decode — identically with block dispatch on and off.
     let src = "
         .text
     main:
@@ -361,8 +450,41 @@ fn self_modifying_store_is_observed_exactly() {
     assert_eq!(out_on, RunOutcome::Exited { code: 7 }, "patched path runs");
     assert_eq!(out_on, out_off);
     assert_eq!(stats_on, stats_off);
+    assert_eq!(
+        block_on.splits, 1,
+        "the patching store splits: {block_on:?}"
+    );
     assert!(
         block_on.bailouts > 0,
         "patched word must bail: {block_on:?}"
     );
+}
+
+#[test]
+fn text_stores_split_dispatches_and_match_stepping() {
+    // The suite's non-vacuity anchor: over a fixed set of generated
+    // programs, text stores must actually split bulk dispatches (with
+    // and without the monitor), and every run must still match
+    // per-instruction stepping — also with a bus tap installed, which
+    // keeps every dispatch on per-word fetches.
+    let mut splits = 0;
+    for seed in 0..48u64 {
+        let prog = assemble(&random_program(8 + seed as usize % 32, seed).source).unwrap();
+        let fht = trace_fht(&prog.image);
+        for config in [
+            ProcessorConfig::baseline(),
+            ProcessorConfig::monitored(CicConfig::with_entries(8), fht),
+        ] {
+            splits += assert_equivalent(&prog.image, &config, 100_000, |_| {}).splits;
+            let tapped = assert_equivalent(&prog.image, &config, 100_000, |cpu| {
+                cpu.set_bus_tap(Box::new(OneShot {
+                    target: 0,
+                    bit: 0,
+                    done: true,
+                }));
+            });
+            assert_eq!(tapped.splits, 0, "tapped dispatches fetch per word");
+        }
+    }
+    assert!(splits > 0, "no generated text store split a dispatch");
 }

@@ -5,8 +5,9 @@
 //! byte-identical to the donor's — outcome, statistics, cycles,
 //! registers, and block-execution counters — for the baseline
 //! (`NullMonitor`) and CIC-monitored processors, under block dispatch
-//! and per-instruction stepping, and in post-tamper states where the
-//! cut lands between a bail-out and the detection that follows it.
+//! and per-instruction stepping, in post-tamper states where the cut
+//! lands between a bail-out and the detection that follows it, and
+//! right after a dispatch that a store into the program text split.
 
 use proptest::prelude::*;
 
@@ -95,34 +96,18 @@ fn trace_fht(image: &cimon_mem::ProgramImage) -> FullHashTable {
         .collect()
 }
 
-/// Cut a run at `cut` retired instructions, snapshot, restore into a
-/// fresh processor, and demand that donor and clone finish with
-/// byte-identical end state.
-fn assert_round_trip(
+/// Snapshot `donor` where it stands, restore into a fresh processor,
+/// and demand that donor and clone finish with byte-identical end
+/// state.
+fn finish_round_trip(
     image: &cimon_mem::ProgramImage,
     config: &ProcessorConfig,
-    cut: u64,
-    tamper: Option<(u32, u8)>,
+    mut donor: Processor,
 ) {
-    let prepare = |cpu: &mut Processor| {
-        if let Some((victim, bit)) = tamper {
-            let old = cpu.mem().read_u32(victim).unwrap();
-            cpu.mem_mut().write_u32(victim, old ^ (1 << bit)).unwrap();
-        }
-    };
-    let mut donor = Processor::new(image, config.clone());
-    prepare(&mut donor);
-    if donor.run_to_instret(cut).is_some() {
-        // The run ended before the cut (tampering can shorten runs):
-        // nothing mid-run to snapshot, and that is fine.
-        return;
-    }
     let snap = donor.snapshot();
     assert_eq!(snap.instret(), donor.instret());
 
     let mut clone = Processor::new(image, config.clone());
-    // Deliberately *no* `prepare`: the snapshot must carry the
-    // tampered memory itself.
     clone.restore(&snap).expect("uncorrupted snapshot restores");
     assert_eq!(clone.instret(), donor.instret());
     assert_eq!(clone.pc(), donor.pc());
@@ -146,6 +131,32 @@ fn assert_round_trip(
         clone.block_stats(),
         "block-exec counters diverged after restore"
     );
+}
+
+/// Cut a run at `cut` retired instructions and round-trip it through a
+/// snapshot (see [`finish_round_trip`]).
+fn assert_round_trip(
+    image: &cimon_mem::ProgramImage,
+    config: &ProcessorConfig,
+    cut: u64,
+    tamper: Option<(u32, u8)>,
+) {
+    let prepare = |cpu: &mut Processor| {
+        if let Some((victim, bit)) = tamper {
+            let old = cpu.mem().read_u32(victim).unwrap();
+            cpu.mem_mut().write_u32(victim, old ^ (1 << bit)).unwrap();
+        }
+    };
+    let mut donor = Processor::new(image, config.clone());
+    prepare(&mut donor);
+    if donor.run_to_instret(cut).is_some() {
+        // The run ended before the cut (tampering can shorten runs):
+        // nothing mid-run to snapshot, and that is fine.
+        return;
+    }
+    // The clone is deliberately *not* prepared: the snapshot must carry
+    // the tampered memory itself.
+    finish_round_trip(image, config, donor);
 }
 
 fn variants(fht: FullHashTable) -> Vec<ProcessorConfig> {
@@ -224,4 +235,45 @@ proptest! {
             assert_round_trip(&prog.image, &config, cut, Some((victim, bit)));
         }
     }
+}
+
+#[test]
+fn snapshot_right_after_a_text_store_split_round_trips() {
+    // Each loop trip stores `patch`'s own word back over it: the text
+    // does not change, but the store bumps the text epoch, so every
+    // bulk dispatch of the loop block splits right after the store.
+    // The cut lands on the first such split, mid-block, with the
+    // block's start and running hash carried in the datapath.
+    let src = "
+        .text
+    main:
+        li   $s0, 5
+        la   $t0, patch
+        lw   $t1, 0($t0)
+    loop:
+        addiu $t2, $t2, 3
+        sw   $t1, 0($t0)
+    patch:
+        addiu $t3, $t3, 1
+        addiu $s0, $s0, -1
+        bnez $s0, loop
+        addu $a0, $t2, $t3
+        li   $v0, 10
+        syscall
+    ";
+    let prog = assemble(src).expect("assembles");
+    let fht = trace_fht(&prog.image);
+    let mut cut_after_split = 0;
+    for config in variants(fht) {
+        if !matches!(config.block_exec, BlockExec::On) {
+            continue;
+        }
+        let mut donor = Processor::new(&prog.image, config.clone());
+        while donor.block_stats().splits == 0 {
+            assert!(donor.step_block().is_none(), "run ended before a split");
+        }
+        cut_after_split += 1;
+        finish_round_trip(&prog.image, &config, donor);
+    }
+    assert_eq!(cut_after_split, 2, "baseline and monitored both split");
 }
