@@ -506,12 +506,9 @@ pub struct ThroughputRow {
     pub workload: String,
     /// `"baseline"` / `"cic8"` (block dispatch, the default
     /// configuration), `"baseline-instr"` / `"cic8-instr"`
-    /// (per-instruction stepping, the PR-3-era dispatch),
+    /// (per-instruction stepping), or
     /// `"baseline-nochain"` / `"cic8-nochain"` (block dispatch with
-    /// superblock chaining disabled), `"splice-serial"` /
-    /// `"splice-wN"` (the splice-scaling bench's serial oracle and
-    /// spliced runs with N workers), or `"splice-disk"` (a spliced run
-    /// with checkpoints spilled to a disk segment).
+    /// superblock chaining disabled).
     pub mode: &'static str,
     /// Instructions committed per run.
     pub instructions: u64,
@@ -650,184 +647,6 @@ pub fn sim_throughput(reps: usize) -> Throughput {
         monitored_nochain_mips: agg("cic8-nochain"),
         rows,
     }
-}
-
-/// How one spliced mode of [`splice_scaling`] actually executed: which
-/// degradation-ladder rung produced the result, plus the failure
-/// counters behind any serial fallback. CI reads these to assert the
-/// parallel path ran (or to explain why it did not).
-#[derive(Clone, Copy, Debug)]
-pub struct SpliceModeOutcome {
-    /// The `BENCH_throughput.json` mode tag (`"splice-wN"`).
-    pub mode: &'static str,
-    /// Rung and failure counters from the final rep of this mode.
-    pub splice: cimon_sim::SpliceStats,
-}
-
-/// The full result of one [`splice_scaling`] measurement: throughput
-/// rows for `BENCH_throughput.json`, plus one [`SpliceModeOutcome`]
-/// per spliced mode so callers can assert which execution path ran.
-#[derive(Clone, Debug)]
-pub struct SpliceScalingReport {
-    /// `"splice-serial"` first, then one row per requested worker
-    /// count, in order.
-    pub rows: Vec<ThroughputRow>,
-    /// One outcome per spliced row (the serial oracle has none).
-    pub modes: Vec<SpliceModeOutcome>,
-}
-
-/// Measure splice-scaling throughput on one large corpus program:
-/// a serial monitored run (the oracle, row `"splice-serial"`) against
-/// [`cimon_sim::run_monitored_spliced`] at each requested worker count
-/// (rows `"splice-wN"`). Every spliced result is asserted byte-identical
-/// to the serial oracle before its time counts, so the rows can never
-/// report a fast-but-wrong splice.
-///
-/// Alongside the rows, the report carries each spliced mode's
-/// [`cimon_sim::SpliceStats`] — which degradation-ladder rung ran and
-/// why — so CI can assert the parallel path was actually exercised
-/// rather than silently timing a serial fallback.
-///
-/// Supported worker counts are 1, 2, 4 and 8 (the fixed mode
-/// vocabulary of `BENCH_throughput.json`).
-///
-/// # Panics
-///
-/// Panics if the corpus run fails, a spliced run diverges from the
-/// serial oracle, or a worker count outside {1, 2, 4, 8} is requested.
-pub fn splice_scaling(
-    target_dynamic_instructions: u64,
-    worker_counts: &[usize],
-    reps: usize,
-) -> SpliceScalingReport {
-    use cimon_sim::{
-        run_monitored_spliced_stats, run_monitored_with_fht, SimConfig, SpillMode, SpliceConfig,
-    };
-    use cimon_workloads::corpus::{generate, CorpusSpec};
-    use std::time::Instant;
-
-    let reps = reps.max(1);
-    let corpus = generate(&CorpusSpec {
-        seed: 0xC1C0,
-        target_dynamic_instructions,
-    });
-    let prog = corpus.assemble();
-    let config = SimConfig::default();
-    let fht = std::sync::Arc::new(
-        cimon_sim::build_fht(&prog.image, &config).expect("corpus static analysis"),
-    );
-    let row = |mode: &'static str, instructions: u64, cycles: u64, best: f64| ThroughputRow {
-        workload: corpus.name.clone(),
-        mode,
-        instructions,
-        cycles,
-        best_seconds: best,
-        mips: instructions as f64 / best / 1e6,
-        block_mean: 0.0,
-        block_max: 0,
-    };
-
-    let mut rows = Vec::with_capacity(1 + worker_counts.len());
-    let mut modes = Vec::with_capacity(worker_counts.len());
-    let mut best = f64::INFINITY;
-    let mut serial = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let report = run_monitored_with_fht(&prog.image, fht.clone(), &config);
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(
-            matches!(report.outcome, cimon_pipeline::RunOutcome::Exited { .. }),
-            "corpus run must be clean: {:?}",
-            report.outcome
-        );
-        if dt < best {
-            best = dt;
-        }
-        serial = Some(report);
-    }
-    let serial = serial.expect("reps >= 1");
-    rows.push(row(
-        "splice-serial",
-        serial.stats.instructions,
-        serial.stats.cycles,
-        best,
-    ));
-
-    // A few shards per worker at the largest pool, so the schedule has
-    // slack to balance.
-    let interval = (serial.stats.instructions / 32).max(1_000);
-    for &workers in worker_counts {
-        let mode = match workers {
-            1 => "splice-w1",
-            2 => "splice-w2",
-            4 => "splice-w4",
-            8 => "splice-w8",
-            other => panic!("unsupported splice worker count {other}"),
-        };
-        let splice = SpliceConfig {
-            interval_cycles: interval,
-            workers,
-            spill: SpillMode::Ram,
-        };
-        let mut best = f64::INFINITY;
-        let mut last_splice = None;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let (spliced, splice_stats) =
-                run_monitored_spliced_stats(&prog.image, &config, Some(fht.clone()), &splice)
-                    .expect("FHT is prebuilt");
-            let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(spliced.outcome, serial.outcome, "{mode} outcome diverged");
-            assert_eq!(spliced.stats, serial.stats, "{mode} stats diverged");
-            if dt < best {
-                best = dt;
-            }
-            last_splice = Some(splice_stats);
-        }
-        modes.push(SpliceModeOutcome {
-            mode,
-            splice: last_splice.unwrap_or_else(|| unreachable!("reps >= 1")),
-        });
-        rows.push(row(
-            mode,
-            serial.stats.instructions,
-            serial.stats.cycles,
-            best,
-        ));
-    }
-
-    // Disk-spill smoke: one spliced run with checkpoints spilled to a
-    // CRC-framed scratch segment instead of RAM, asserted byte-identical
-    // like every other mode. Row `"splice-disk"` makes a spill
-    // regression (or a silently-serial spill path) visible in CI.
-    {
-        let splice = SpliceConfig {
-            interval_cycles: interval,
-            workers: 2,
-            spill: SpillMode::Disk,
-        };
-        let t0 = Instant::now();
-        let (spliced, splice_stats) =
-            run_monitored_spliced_stats(&prog.image, &config, Some(fht.clone()), &splice)
-                .expect("FHT is prebuilt");
-        let dt = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            spliced.outcome, serial.outcome,
-            "splice-disk outcome diverged"
-        );
-        assert_eq!(spliced.stats, serial.stats, "splice-disk stats diverged");
-        modes.push(SpliceModeOutcome {
-            mode: "splice-disk",
-            splice: splice_stats,
-        });
-        rows.push(row(
-            "splice-disk",
-            serial.stats.instructions,
-            serial.stats.cycles,
-            dt,
-        ));
-    }
-    SpliceScalingReport { rows, modes }
 }
 
 /// One row of the throughput regression gate's before/after table.

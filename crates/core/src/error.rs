@@ -1,14 +1,13 @@
 //! Typed error taxonomy for the whole simulation stack.
 //!
 //! Every layer above `cimon-core` — the assembler, the hash generator,
-//! the pipeline, the experiment engine, the splice scheduler, and the
-//! fault campaigns — reports recoverable failures through one enum so
-//! callers match on a single type instead of a per-crate zoo. The
-//! variants mirror the failure domains of the harness itself rather
-//! than the monitored program: a program that tampers with its own
-//! image is a *result* (`RunOutcome::Detected`), not an error; a
-//! worker thread that panics or a snapshot that fails its checksum is
-//! an error.
+//! the pipeline, the experiment engine, and the fault campaigns —
+//! reports recoverable failures through one enum so callers match on a
+//! single type instead of a per-crate zoo. The variants mirror the
+//! failure domains of the harness itself rather than the monitored
+//! program: a program that tampers with its own image is a *result*
+//! (`RunOutcome::Detected`), not an error; a worker thread that panics
+//! or a snapshot that fails its checksum is an error.
 //!
 //! The enum is deliberately `Clone + PartialEq + Eq` so poisoned
 //! experiment rows can carry their error by value and tests can assert
@@ -50,7 +49,7 @@ pub enum SimError {
     },
     /// A worker thread panicked; the panic was caught and localised.
     WorkerPanic {
-        /// Which pool the worker belonged to (`"sweep"`, `"splice"`, ...).
+        /// Which pool the worker belonged to (`"sweep"`, `"campaign"`, ...).
         site: &'static str,
         /// Downcast panic payload, or a placeholder for non-string payloads.
         message: String,
@@ -229,6 +228,8 @@ impl SimError {
         /// Worker-pool sites are a closed set of static strings; wire
         /// data naming a pool this build does not know degrades to a
         /// recognizable placeholder instead of failing the whole row.
+        /// `"splice"` names a pool earlier builds had; it stays so rows
+        /// they wrote still decode to the same site.
         fn intern_site(site: &str) -> &'static str {
             const SITES: [&str; 8] = [
                 "sweep",

@@ -46,3 +46,23 @@ pub use hash::{hasher_for, BlockHasher, HashAlgo};
 pub use iht::{Iht, LookupOutcome};
 
 pub use cimon_microop::HashAlgoKind;
+
+/// SplitMix64 — the stateless 64-bit mixer the vendored `rand` shim
+/// builds `StdRng` on. Seeded decisions that must be a pure function of
+/// their inputs (chaos injection sites, retry jitter) draw from it
+/// directly, with no RNG state to thread through.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn splitmix64_matches_the_reference_sequence() {
+        // The first output of the reference SplitMix64 seeded with 0.
+        assert_eq!(super::splitmix64(0), 0xE220_A839_7B1D_CDAF);
+    }
+}

@@ -120,10 +120,9 @@ impl FetchBus {
         self.fetches
     }
 
-    /// Reinstate the fetch counter from a snapshot. Taps are not part
-    /// of a snapshot — a restored run re-installs its own tap (the
-    /// splice layer records the original tap's overrides and replays
-    /// them positionally).
+    /// Reinstate the fetch counter from a snapshot, so a restored run
+    /// counts on from the checkpoint. Taps are not part of a snapshot —
+    /// a restored run installs its own.
     pub fn set_fetch_count(&mut self, n: u64) {
         self.fetches = n;
     }

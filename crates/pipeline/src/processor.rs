@@ -1,7 +1,6 @@
 //! The processor: functional execution, monitoring integration, and
 //! cycle accounting.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,11 +19,11 @@ use cimon_os::{
     ExceptionCost, FullHashTable, OsKernel, OsStats, RefillPolicyKind, TerminationCause,
 };
 
-use crate::blockexec::{BlockCache, MAX_BLOCK_LEN};
+use crate::blockexec::BlockCache;
 use crate::monitor::{CicMonitor, Monitor, MonitorState, NullMonitor, Verdict};
 use crate::predecode::{PredecodedEntry, PredecodedImage};
 use crate::regfile::RegFile;
-use crate::timing::{IssueClass, Timing, TimingConfig, TimingEvent};
+use crate::timing::{Timing, TimingConfig};
 
 /// How the processor obtains its predecoded view of the program image.
 #[derive(Clone, Debug, Default)]
@@ -150,11 +149,10 @@ pub struct ProcessorConfig {
     pub max_cycles: u64,
     /// Wall-clock watchdog: the run aborts with
     /// [`RunOutcome::Watchdog`] once this much real time has elapsed
-    /// since construction (or since [`Processor::set_max_wall`]
-    /// re-armed it). `None` — the default — disables the watchdog and
-    /// costs nothing on the hot path: the deadline is only polled every
-    /// 2^[`ProcessorConfig::watchdog_poll_bits`] retired instructions,
-    /// and not at all when unarmed.
+    /// since construction. `None` — the default — disables the
+    /// watchdog and costs nothing on the hot path: the deadline is only
+    /// polled every 2^[`ProcessorConfig::watchdog_poll_bits`] retired
+    /// instructions, and not at all when unarmed.
     pub max_wall: Option<Duration>,
     /// Log2 of the retired-instruction stride between wall-clock polls
     /// of an armed watchdog (default 16, i.e. one `Instant::now` per
@@ -593,99 +591,6 @@ mod crosscheck {
 /// are dropped from the `plan_fits` hot path.
 const LIVE_IN_SKIP_AFTER: u8 = 16;
 
-/// Splice fast-pass state: timing bookkeeping is suppressed, and the
-/// trailing window of front-end events is ringed so a checkpoint can
-/// reconstruct scheduler state via [`Timing::replay`].
-struct FastPass {
-    /// Trailing events, capacity [`TimingConfig::replay_horizon`].
-    /// Recorded only while `armed` (within the arming margin of the
-    /// next checkpoint), so steady-state fast execution pays nothing
-    /// for it.
-    ring: VecDeque<TimingEvent>,
-    horizon: usize,
-    armed: bool,
-    /// Cumulative monitoring stall cycles — architecturally exact even
-    /// with the schedule suppressed, because every verdict names its
-    /// own stall.
-    stall_cycles: u64,
-    /// A `ReadCycles` syscall executed: the program consumed a value
-    /// only the real schedule can produce, so architectural state from
-    /// this pass is untrustworthy and a spliced run must fall back to
-    /// serial execution.
-    timing_dependent: bool,
-}
-
-impl FastPass {
-    fn new(horizon: usize) -> FastPass {
-        FastPass {
-            ring: VecDeque::with_capacity(horizon + 1),
-            horizon,
-            armed: false,
-            stall_cycles: 0,
-            timing_dependent: false,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, event: TimingEvent) {
-        if self.ring.len() == self.horizon {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(event);
-    }
-
-    #[inline]
-    fn record_issue(&mut self, class: IssueClass, src_mask: u64, dest_mask: u64, taken: bool) {
-        if self.armed {
-            self.push(TimingEvent::Issue {
-                class,
-                src_mask,
-                dest_mask,
-                taken,
-            });
-        }
-    }
-
-    #[inline]
-    fn record_block(&mut self, body: &[PredecodedEntry]) {
-        if self.armed {
-            for e in body {
-                self.push(TimingEvent::Issue {
-                    class: e.klass,
-                    src_mask: e.src_mask,
-                    dest_mask: e.dest_mask,
-                    taken: false,
-                });
-            }
-        }
-    }
-
-    #[inline]
-    fn record_stall(&mut self, cycles: u64) {
-        self.stall_cycles += cycles;
-        // `stall(0)` is an identity on the schedule: not an event.
-        if self.armed && cycles > 0 {
-            self.push(TimingEvent::Stall(cycles));
-        }
-    }
-}
-
-/// What [`Processor::run_fast_pass`] came back with.
-#[derive(Clone, Copy, Debug)]
-pub struct FastPassReport {
-    /// The run outcome. `MaxCycles` here means the *retired-instruction
-    /// proxy* for the budget tripped (instructions can only
-    /// under-approximate cycles): the timed run is then guaranteed to
-    /// end in `MaxCycles` at or before this point, and the splice
-    /// budget fix-up locates the exact stop.
-    pub outcome: RunOutcome,
-    /// A `ReadCycles` syscall executed during the pass (the program
-    /// observes its own timing, which the fast pass does not model):
-    /// the caller must discard the pass — snapshots included — and run
-    /// serially.
-    pub timing_dependent: bool,
-}
-
 /// A complete checkpoint of a run in flight: architectural state (PC,
 /// registers, HI/LO, pipeline latches), memory (copy-on-write — the
 /// clone shares pages until either side writes), the scheduler, the
@@ -697,8 +602,8 @@ pub struct FastPassReport {
 /// A snapshot is tied to the configuration of the processor that took
 /// it: restore only into a processor built from the same image and
 /// [`ProcessorConfig`]. The fetch-bus *tap* is not captured — a
-/// restored run installs its own (the splice layer replays recorded
-/// overrides positionally, keyed off the restored fetch count).
+/// restored run installs its own (a fault campaign installs a fresh
+/// planned tap after restoring a clean checkpoint).
 #[derive(Clone)]
 pub struct ProcessorSnapshot {
     dp: Datapath,
@@ -756,8 +661,8 @@ impl ProcessorSnapshot {
 
     /// Flip one bit of the snapshot's captured memory, leaving the
     /// recorded checksum stale — the fault model of a checkpoint
-    /// corrupted at rest. Restore is guaranteed to notice; the chaos
-    /// harness and the integrity tests are built on this.
+    /// corrupted at rest. Restore is guaranteed to notice; the
+    /// integrity tests are built on this.
     pub fn corrupt_bit(&mut self, addr: u32, bit: u8) {
         self.mem.flip_bit(addr, bit);
     }
@@ -1173,11 +1078,6 @@ pub struct Processor {
     /// [`LIVE_IN_SKIP_AFTER`], the dead tail is dropped from the
     /// `plan_fits` hot path (see [`BlockPlan::binding_live_in_checks`]).
     live_in_skip: Vec<u8>,
-    /// Splice fast-pass state — `Some` only inside
-    /// [`Processor::run_fast_pass`], where timing bookkeeping is
-    /// suppressed and trailing front-end events are ringed for
-    /// checkpoint reconstruction.
-    fast: Option<Box<FastPass>>,
     dp: Datapath,
     regs: RegFile,
     hi: u32,
@@ -1325,7 +1225,6 @@ impl Processor {
             validated,
             chain_from: None,
             live_in_skip,
-            fast: None,
             dp,
             regs,
             hi: 0,
@@ -1434,34 +1333,6 @@ impl Processor {
         self.instret
     }
 
-    /// The scheduling model — the splice stitcher differences its
-    /// `last_id` across shard boundaries.
-    pub fn timing(&self) -> &Timing {
-        &self.timing
-    }
-
-    /// Re-anchor the schedule at an absolute cycle position (see
-    /// [`Timing::shift`]) — used by the splice budget fix-up to replay
-    /// one shard with serial-exact absolute timing.
-    pub fn shift_timing(&mut self, cycles: u64) {
-        self.timing.shift(cycles);
-    }
-
-    /// Replace the cycle budget. Splice shards replay effectively
-    /// unbounded (`u64::MAX`); the budget fix-up reinstates the real
-    /// limit on the shard that crosses it.
-    pub fn set_max_cycles(&mut self, max_cycles: u64) {
-        self.max_cycles = max_cycles;
-    }
-
-    /// Arm (or disarm, with `None`) the wall-clock watchdog, measuring
-    /// from now. Splice shards re-arm after restore so every shard gets
-    /// its own deadline rather than inheriting the serial run's.
-    pub fn set_max_wall(&mut self, max_wall: Option<Duration>) {
-        self.deadline = max_wall.map(|wall| Instant::now() + wall);
-        self.next_watchdog = self.instret + self.watchdog_stride;
-    }
-
     /// Poll the wall-clock watchdog. Unarmed: one branch. Armed: one
     /// compare per call, with `Instant::now` sampled only every
     /// `watchdog_stride` ([`ProcessorConfig::watchdog_poll_bits`])
@@ -1484,10 +1355,6 @@ impl Processor {
     /// (the block-event log is cloned too, but it is empty unless
     /// [`ProcessorConfig::record_blocks`] is set).
     pub fn snapshot(&self) -> ProcessorSnapshot {
-        self.snapshot_with_timing(self.timing.clone())
-    }
-
-    fn snapshot_with_timing(&self, timing: Timing) -> ProcessorSnapshot {
         let mut snapshot = ProcessorSnapshot {
             dp: self.dp.clone(),
             regs: self.regs.clone(),
@@ -1496,7 +1363,7 @@ impl Processor {
             mem: self.env.mem.clone(),
             fetch_count: self.env.bus.fetch_count(),
             monitor: self.env.monitor.snapshot_state(),
-            timing,
+            timing: self.timing.clone(),
             pc: self.pc,
             done: self.done,
             instret: self.instret,
@@ -1514,11 +1381,11 @@ impl Processor {
         snapshot
     }
 
-    /// Reinstate a checkpoint taken by [`Processor::snapshot`] (or
-    /// emitted by [`Processor::run_fast_pass`]). The processor must
-    /// have been built from the same image and [`ProcessorConfig`] as
-    /// the one that took the snapshot; configuration (specs, caches,
-    /// budget) and any installed bus tap are left untouched.
+    /// Reinstate a checkpoint taken by [`Processor::snapshot`]. The
+    /// processor must have been built from the same image and
+    /// [`ProcessorConfig`] as the one that took the snapshot;
+    /// configuration (specs, caches, budget) and any installed bus tap
+    /// are left untouched.
     ///
     /// # Errors
     ///
@@ -1557,84 +1424,15 @@ impl Processor {
         self.validated = snapshot.validated.clone();
         self.live_in_skip = snapshot.live_in_skip.clone();
         self.chain_from = snapshot.chain_from;
-        self.fast = None;
         Ok(())
     }
 
-    /// Run the splice fast pass to completion: functional and monitor
-    /// state advance exactly as [`Processor::run`] would leave them,
-    /// but scheduler bookkeeping is suppressed. The pass emits a
-    /// checkpoint into `sink` at the first dispatch boundary after
-    /// every `interval` retired instructions, with scheduler state
-    /// reconstructed from the trailing event window — exact up to the
-    /// uniform shift the splice stitcher re-accumulates (see
-    /// [`Timing::replay`]).
-    ///
-    /// The cycle budget degrades to a retired-instruction proxy and
-    /// `ReadCycles` poisons the pass — both surfaced through the
-    /// returned [`FastPassReport`].
-    pub fn run_fast_pass(
-        &mut self,
-        interval: u64,
-        mut sink: impl FnMut(ProcessorSnapshot),
-    ) -> FastPassReport {
-        let interval = interval.max(1);
-        let config = self.timing.config();
-        let horizon = config.replay_horizon();
-        // Events only accumulate while armed, and the arming check runs
-        // once per dispatch, which can overshoot by a block — pad the
-        // margin so the ring always holds a full horizon by emit time.
-        let margin = (horizon + 2 * MAX_BLOCK_LEN) as u64;
-        self.fast = Some(Box::new(FastPass::new(horizon)));
-        let cache = self.block_cache.clone();
-        let mut next_target = interval;
-        let outcome = loop {
-            let want_armed = self.instret + margin >= next_target;
-            {
-                let fast = self
-                    .fast
-                    .as_mut()
-                    .unwrap_or_else(|| unreachable!("fast pass installed above"));
-                if want_armed && !fast.armed {
-                    // Re-arming after a gap: whatever the ring still
-                    // holds is not contiguous with what comes next.
-                    fast.ring.clear();
-                }
-                fast.armed = want_armed;
-            }
-            let stepped = match &cache {
-                Some(c) => self.step_block_in(c),
-                None => self.step(),
-            };
-            if let Some(outcome) = stepped {
-                break outcome;
-            }
-            if self.instret >= next_target {
-                let fast = self
-                    .fast
-                    .as_mut()
-                    .unwrap_or_else(|| unreachable!("fast pass installed above"));
-                let mut timing = Timing::replay(config, fast.ring.make_contiguous());
-                timing.set_counters(self.instret, fast.stall_cycles);
-                sink(self.snapshot_with_timing(timing));
-                next_target = self.instret + interval;
-            }
-        };
-        let fast = self
-            .fast
-            .take()
-            .unwrap_or_else(|| unreachable!("fast pass installed above"));
-        FastPassReport {
-            outcome,
-            timing_dependent: fast.timing_dependent,
-        }
-    }
-
-    /// Replay (with full timing and monitoring) until `target` retired
-    /// instructions, or until the run ends. Fast-pass checkpoints land
-    /// on dispatch boundaries, and dispatch boundaries are
-    /// architectural, so a shard replaying to the next checkpoint's
-    /// [`ProcessorSnapshot::instret`] stops on it exactly.
+    /// Run (with full timing and monitoring) until at least `target`
+    /// retired instructions, or until the run ends. Execution stops on
+    /// the first dispatch boundary at or past `target`; dispatch
+    /// boundaries are architectural, so a run restored from a
+    /// [`ProcessorSnapshot`] taken there stops on the same boundary as
+    /// the uninterrupted run.
     pub fn run_to_instret(&mut self, target: u64) -> Option<RunOutcome> {
         if let Some(done) = self.done {
             return Some(done);
@@ -1653,26 +1451,6 @@ impl Processor {
             }
         }
         None
-    }
-
-    /// Timing bookkeeping, or its fast-pass stand-in: record the event
-    /// (when within a checkpoint's arming window) instead of issuing it.
-    #[inline]
-    fn issue_or_record(&mut self, class: IssueClass, src_mask: u64, dest_mask: u64, taken: bool) {
-        match &mut self.fast {
-            Some(fast) => fast.record_issue(class, src_mask, dest_mask, taken),
-            None => {
-                self.timing.issue_masks(class, src_mask, dest_mask, taken);
-            }
-        }
-    }
-
-    #[inline]
-    fn stall_or_record(&mut self, cycles: u64) {
-        match &mut self.fast {
-            Some(fast) => fast.record_stall(cycles),
-            None => self.timing.stall(cycles),
-        }
     }
 
     /// Run until the program ends (one way or another).
@@ -1706,14 +1484,7 @@ impl Processor {
         if let Some(done) = self.done {
             return Some(done);
         }
-        let over_budget = match &self.fast {
-            // Fast pass: cycles are suppressed, but instructions only
-            // ever under-approximate them, so this proxy trips at or
-            // after the point the timed run would stop.
-            Some(_) => self.instret > self.max_cycles,
-            None => self.timing.cycles() > self.max_cycles,
-        };
-        if over_budget {
+        if self.timing.cycles() > self.max_cycles {
             return self.finish(RunOutcome::MaxCycles);
         }
         if self.watchdog_fired() {
@@ -1799,22 +1570,15 @@ impl Processor {
 
         // ---- Timing (the slice-based path: the oracle the mask and
         // block fast paths are differentially tested against). ----
-        match &mut self.fast {
-            Some(fast) => {
-                fast.record_issue(entry.klass, entry.src_mask, entry.dest_mask, exec.taken)
-            }
-            None => {
-                self.timing.issue(
-                    entry.klass,
-                    entry.sources.as_slice(),
-                    entry.reads_hi,
-                    entry.reads_lo,
-                    entry.dest,
-                    entry.writes_hilo,
-                    exec.taken,
-                );
-            }
-        }
+        self.timing.issue(
+            entry.klass,
+            entry.sources.as_slice(),
+            entry.reads_hi,
+            entry.reads_lo,
+            entry.dest,
+            entry.writes_hilo,
+            exec.taken,
+        );
         self.instret += 1;
 
         // ---- Monitoring exception resolution (after issue). ----
@@ -1873,11 +1637,6 @@ impl Processor {
     fn step_block_in(&mut self, cache: &BlockCache) -> Option<RunOutcome> {
         if let Some(done) = self.done {
             return Some(done);
-        }
-        if self.fast.is_some() && self.instret > self.max_cycles {
-            // Fast pass: per-dispatch retired-instruction proxy for the
-            // suppressed cycle budget (see `FastPassReport::outcome`).
-            return self.finish(RunOutcome::MaxCycles);
         }
         if self.watchdog_fired() {
             return self.finish(RunOutcome::Watchdog);
@@ -1967,30 +1726,21 @@ impl Processor {
             // in one `Timing::issue_block` call; otherwise every
             // instruction issues through the mask fast path.
             let plan = cache.plan_at(slot);
-            let planned = match &self.fast {
-                // Fast pass: the schedule is suppressed, so the plan is
-                // never consulted — the fused loop (which also batches
-                // the monitor calls) is always eligible.
-                Some(_) => true,
-                None => {
-                    let s = slot as usize;
-                    let skip = self.live_in_skip[s] >= LIVE_IN_SKIP_AFTER;
-                    let checks = if skip {
-                        plan.binding_live_in_checks()
-                    } else {
-                        plan.live_in_checks()
-                    };
-                    let fits = self.plans_ok
-                        && self.timing.plan_fits_prefix(plan, self.max_cycles, checks);
-                    // The provably-dead tail was evaluated and (by
-                    // construction) did not fire: advance the slot's
-                    // skip streak toward dropping it.
-                    if !skip && self.plans_ok && plan.provably_dead_checks() > 0 {
-                        self.live_in_skip[s] += 1;
-                    }
-                    fits
-                }
+            let s = slot as usize;
+            let skip = self.live_in_skip[s] >= LIVE_IN_SKIP_AFTER;
+            let checks = if skip {
+                plan.binding_live_in_checks()
+            } else {
+                plan.live_in_checks()
             };
+            let planned =
+                self.plans_ok && self.timing.plan_fits_prefix(plan, self.max_cycles, checks);
+            // The provably-dead tail was evaluated and (by construction)
+            // did not fire: advance the slot's skip streak toward
+            // dropping it.
+            if !skip && self.plans_ok && plan.provably_dead_checks() > 0 {
+                self.live_in_skip[s] += 1;
+            }
             if planned {
                 self.block_loop_planned(
                     block.entries,
@@ -2105,7 +1855,7 @@ impl Processor {
         let last = entries.len() - 1;
         for (i, entry) in entries.iter().enumerate() {
             let pc = self.pc;
-            if self.fast.is_none() && self.timing.cycles() > self.max_cycles {
+            if self.timing.cycles() > self.max_cycles {
                 return BlockLoopExit::Finished(RunOutcome::MaxCycles);
             }
             let word = if BULK {
@@ -2159,14 +1909,15 @@ impl Processor {
                 Ok(e) => e,
                 Err(fault) => return BlockLoopExit::Finished(RunOutcome::Fault(fault)),
             };
-            self.issue_or_record(entry.klass, entry.src_mask, entry.dest_mask, exec.taken);
+            self.timing
+                .issue_masks(entry.klass, entry.src_mask, entry.dest_mask, exec.taken);
             self.instret += 1;
             taken = exec.taken;
 
             // ---- Exception resolution (after issue). ----
             if let Some((kind, key, hash)) = pending {
                 match self.env.monitor.resolve(kind, key, hash) {
-                    Verdict::Continue { stall_cycles } => self.stall_or_record(stall_cycles),
+                    Verdict::Continue { stall_cycles } => self.timing.stall(stall_cycles),
                     Verdict::Kill(cause) => {
                         return BlockLoopExit::Finished(RunOutcome::Detected { cause, pc });
                     }
@@ -2266,7 +2017,8 @@ impl Processor {
                 }
             }
             for e in &body[..executed] {
-                self.issue_or_record(e.klass, e.src_mask, e.dest_mask, false);
+                self.timing
+                    .issue_masks(e.klass, e.src_mask, e.dest_mask, false);
             }
             self.instret += executed as u64;
             return exit;
@@ -2278,10 +2030,7 @@ impl Processor {
         // whole block batches into a single monitor transaction.
         *reached += entries.len() as u64;
         if !body.is_empty() {
-            match &mut self.fast {
-                Some(fast) => fast.record_block(body),
-                None => self.timing.issue_block(plan, x),
-            }
+            self.timing.issue_block(plan, x);
             self.instret += body.len() as u64;
         }
 
@@ -2323,11 +2072,12 @@ impl Processor {
             Ok(e) => e,
             Err(f) => return BlockLoopExit::Finished(RunOutcome::Fault(f)),
         };
-        self.issue_or_record(entry.klass, entry.src_mask, entry.dest_mask, exec.taken);
+        self.timing
+            .issue_masks(entry.klass, entry.src_mask, entry.dest_mask, exec.taken);
         self.instret += 1;
         if let Some((kind, key, hash)) = pending {
             match self.env.monitor.resolve(kind, key, hash) {
-                Verdict::Continue { stall_cycles } => self.stall_or_record(stall_cycles),
+                Verdict::Continue { stall_cycles } => self.timing.stall(stall_cycles),
                 Verdict::Kill(cause) => {
                     return BlockLoopExit::Finished(RunOutcome::Detected { cause, pc });
                 }
@@ -2365,7 +2115,7 @@ impl Processor {
         for i in 0..self.env.exceptions.len() {
             let kind = self.env.exceptions[i];
             match self.env.monitor.resolve(kind, key, hash) {
-                Verdict::Continue { stall_cycles } => self.stall_or_record(stall_cycles),
+                Verdict::Continue { stall_cycles } => self.timing.stall(stall_cycles),
                 Verdict::Kill(cause) => return Some(RunOutcome::Detected { cause, pc }),
             }
         }
@@ -2562,11 +2312,6 @@ fn exec_syscall(cpu: &mut Processor, pc: u32, _e: &PredecodedEntry) -> Result<Ex
                 .push(ConsoleEvent::Char((a0 & 0xff) as u8 as char));
         }
         Some(Syscall::ReadCycles) => {
-            if let Some(fast) = &mut cpu.fast {
-                // The schedule is suppressed: the value written below is
-                // stale, so the whole fast pass must be discarded.
-                fast.timing_dependent = true;
-            }
             let c = cpu.timing.cycles() as u32;
             cpu.regs.write(Reg::V0, c);
         }
@@ -3103,91 +2848,6 @@ mod tests {
             i += step;
             step = (step % 7) + 1; // sample positions, keep the test fast
         }
-    }
-
-    #[test]
-    fn fast_pass_matches_serial_architecturally() {
-        let (prog, fht) = trace_fht(SUM_LOOP);
-        let config = ProcessorConfig::monitored(CicConfig::with_entries(8), fht);
-        // Tamper the stored image so the pass exercises detection too.
-        let victim = prog.image.entry + 8;
-        let mut serial = Processor::new(&prog.image, config.clone());
-        let old = serial.mem().read_u32(victim).unwrap();
-        serial.mem_mut().write_u32(victim, old ^ (1 << 20)).unwrap();
-        let out_serial = serial.run();
-        assert!(matches!(out_serial, RunOutcome::Detected { .. }));
-
-        let mut fast = Processor::new(&prog.image, config);
-        fast.mem_mut().write_u32(victim, old ^ (1 << 20)).unwrap();
-        let report = fast.run_fast_pass(1_000_000, |_| {});
-        assert!(!report.timing_dependent);
-        assert_eq!(report.outcome, out_serial);
-        assert_eq!(serial.stats().instructions, fast.stats().instructions);
-        assert_eq!(serial.stats().cic, fast.stats().cic);
-        assert_eq!(serial.stats().os, fast.stats().os);
-        assert_eq!(serial.stats().console, fast.stats().console);
-        assert_eq!(serial.regs().snapshot(), fast.regs().snapshot());
-        assert_eq!(serial.block_stats(), fast.block_stats());
-    }
-
-    #[test]
-    fn fast_pass_flags_read_cycles() {
-        let prog =
-            assemble(".text\nmain: li $v0, 30\nsyscall\nli $v0, 10\nli $a0, 0\nsyscall\n").unwrap();
-        let mut cpu = Processor::new(&prog.image, ProcessorConfig::baseline());
-        let report = cpu.run_fast_pass(1_000_000, |_| {});
-        assert!(report.timing_dependent);
-    }
-
-    #[test]
-    fn fast_pass_checkpoints_splice_to_serial_cycles() {
-        let (prog, fht) = trace_fht(SUM_LOOP);
-        let config = ProcessorConfig::monitored(CicConfig::with_entries(8), fht);
-        let mut serial = Processor::new(&prog.image, config.clone());
-        let out_serial = serial.run();
-
-        let mut fast = Processor::new(&prog.image, config.clone());
-        let mut snaps = Vec::new();
-        let report = fast.run_fast_pass(10, |s| snaps.push(s));
-        assert!(!report.timing_dependent);
-        assert_eq!(report.outcome, out_serial);
-        assert!(snaps.len() >= 2, "want several checkpoints: {snaps:?}");
-
-        // Stitch: shard 0 replays from the start, every later shard
-        // restores its checkpoint and replays to the next boundary.
-        // The summed schedule advances plus the pipeline fill must
-        // reproduce the serial cycle count exactly, and the last shard
-        // must end in the serial run's architectural + monitor state.
-        let mut total = 0u64;
-        let mut last = None;
-        for i in 0..=snaps.len() {
-            let mut shard = Processor::new(&prog.image, config.clone());
-            if i > 0 {
-                shard.restore(&snaps[i - 1]).unwrap();
-            }
-            shard.set_max_cycles(u64::MAX);
-            let start = shard.timing().last_id();
-            let target = snaps.get(i).map_or(u64::MAX, |s| s.instret());
-            let out = shard.run_to_instret(target);
-            if let Some(s) = snaps.get(i) {
-                assert!(out.is_none());
-                assert_eq!(shard.instret(), s.instret(), "shard lands on its boundary");
-            } else {
-                assert_eq!(out, Some(out_serial));
-            }
-            total += shard.timing().last_id() - start;
-            last = Some(shard);
-        }
-        let last = last.unwrap();
-        assert_eq!(total + 4, serial.cycles());
-        let (ls, ss) = (last.stats(), serial.stats());
-        assert_eq!(ls.instructions, ss.instructions);
-        assert_eq!(ls.monitor_stall_cycles, ss.monitor_stall_cycles);
-        assert_eq!(ls.cic, ss.cic);
-        assert_eq!(ls.os, ss.os);
-        assert_eq!(ls.console, ss.console);
-        assert_eq!(last.block_stats(), serial.block_stats());
-        assert_eq!(last.regs().snapshot(), serial.regs().snapshot());
     }
 
     #[test]

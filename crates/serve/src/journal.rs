@@ -35,20 +35,7 @@ use std::path::{Path, PathBuf};
 
 use cimon_bench::json::{self, FlatObject};
 use cimon_sim::chaos;
-
-/// CRC-32 (IEEE, bitwise) over a byte string — the same polynomial the
-/// monitored pipeline's CRC hash unit implements.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+use cimon_sim::ckpt::crc32;
 
 /// Fsync the parent directory of `path`, making a just-created (or
 /// just-renamed-over) directory entry itself durable.
@@ -404,6 +391,25 @@ mod tests {
     fn crc_is_the_ieee_polynomial() {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The on-disk record format, pinned byte for byte: a journal
+    /// written by any build must replay in every other.
+    #[test]
+    fn record_line_is_golden() {
+        let r = Record {
+            key: 0x00C1_A05D_EAD0_BEEF,
+            tag: "sweep-row".to_string(),
+            extra: "3|0badf00d".to_string(),
+            body: "{\"row\":3,\"name\":\"a\\\"b\"}".to_string(),
+        };
+        let line = concat!(
+            r#"{"crc":"f4450a7e","key":"00c1a05dead0beef","tag":"sweep-row","#,
+            r#""extra":"3|0badf00d","body":"{\"row\":3,\"name\":\"a\\\"b\"}"}"#,
+            "\n",
+        );
+        assert_eq!(r.to_line(), line);
+        assert_eq!(Record::parse(line.trim_end()), Ok(r));
     }
 
     #[test]

@@ -9,22 +9,16 @@
 //! * **worker panics** in sweep and campaign pools
 //!   ([`maybe_panic`]) — exercising `catch_unwind` isolation and
 //!   poisoned-row degradation;
-//! * **artificial shard delays** in the splice replay pool
-//!   ([`maybe_delay`]) — exercising order-independence of the
-//!   deterministic stitch;
-//! * **snapshot bit-flips** before splice shards restore
-//!   ([`maybe_corrupt_snapshot`]) — exercising checksum verification
-//!   and the serial-fallback rung of the degradation ladder;
 //! * **request corruption** at the serve layer's ingest
 //!   ([`maybe_corrupt_request`]) — exercising typed `Protocol`
 //!   rejection of garbage instead of a wedged or panicking parser;
 //! * **journal bit-flips** as the serve layer persists a result
 //!   ([`maybe_flip_journal_bit`]) — exercising per-record CRC
 //!   verification and recompute-on-replay after a restart;
-//! * **checkpoint-frame bit-flips and torn tails** as the splice layer
-//!   spills snapshots to disk ([`maybe_flip_segment_bit`],
+//! * **checkpoint-frame bit-flips and torn tails** as a fault campaign
+//!   spills its reference snapshots to disk ([`maybe_flip_segment_bit`],
 //!   [`maybe_torn_segment_tail`]) — exercising the segment scanner's
-//!   frame quarantine and the recompute-from-previous spill rung;
+//!   frame quarantine and the campaign's from-scratch fallback;
 //! * **mid-stream connection cuts** while the serve layer streams
 //!   sweep rows ([`cuts_stream_at`]) — exercising client reconnect and
 //!   row-grain resume.
@@ -39,9 +33,8 @@
 //! one `OnceLock` read per call site — and injects nothing.
 
 use std::sync::OnceLock;
-use std::time::Duration;
 
-use cimon_pipeline::ProcessorSnapshot;
+use cimon_core::splitmix64;
 
 /// Injection configuration, resolved from the environment once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,11 +43,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// One in this many sweep/campaign items panics (0 disables).
     pub panic_one_in: u64,
-    /// One in this many splice shards sleeps briefly (0 disables).
-    pub delay_one_in: u64,
-    /// One in this many splice shards sees a bit-flipped snapshot
-    /// (0 disables).
-    pub corrupt_one_in: u64,
     /// One in this many serve-layer requests is corrupted at ingest
     /// (0 disables).
     pub request_corrupt_one_in: u64,
@@ -79,8 +67,6 @@ impl ChaosConfig {
         ChaosConfig {
             seed,
             panic_one_in: 5,
-            delay_one_in: 4,
-            corrupt_one_in: 4,
             request_corrupt_one_in: 6,
             journal_flip_one_in: 4,
             segment_flip_one_in: 5,
@@ -115,15 +101,6 @@ pub fn enabled() -> bool {
     config().is_some()
 }
 
-/// SplitMix64 — the same mixer the vendored `rand` shim builds
-/// `StdRng` on, reproduced here so a chaos decision needs no RNG state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Deterministic decision value for one `(site, index, salt)` point.
 fn roll(cfg: &ChaosConfig, site: &str, index: usize, salt: u64) -> u64 {
     let mut h = cfg.seed ^ salt;
@@ -148,36 +125,6 @@ pub fn maybe_panic(site: &'static str, index: usize) {
     if panics_at(site, index) {
         panic!("chaos: injected panic at {site}[{index}]");
     }
-}
-
-/// Sleep a few milliseconds if chaos selected this point — enough to
-/// scramble worker completion order without slowing suites down.
-pub fn maybe_delay(site: &'static str, index: usize) {
-    if let Some(cfg) = config() {
-        if cfg.delay_one_in != 0 && roll(cfg, site, index, 0xD1) % cfg.delay_one_in == 0 {
-            let ms = 1 + roll(cfg, site, index, 0xD2) % 5;
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-    }
-}
-
-/// Flip one seeded memory bit of `snapshot` if chaos selected this
-/// point, leaving its recorded checksum stale. Returns `true` when a
-/// flip was injected — the caller's subsequent `restore` is then
-/// guaranteed to fail with `SimError::SnapshotCorrupt`.
-pub fn maybe_corrupt_snapshot(
-    site: &'static str,
-    index: usize,
-    snapshot: &mut ProcessorSnapshot,
-) -> bool {
-    let Some(cfg) = config() else { return false };
-    if cfg.corrupt_one_in == 0 || roll(cfg, site, index, 0xC0) % cfg.corrupt_one_in != 0 {
-        return false;
-    }
-    let addr = (roll(cfg, site, index, 0xC1) % 0x1_0000) as u32;
-    let bit = (roll(cfg, site, index, 0xC2) % 8) as u8;
-    snapshot.corrupt_bit(addr, bit);
-    true
 }
 
 /// Whether chaos corrupts the serve request at ingest index `index` —
@@ -242,8 +189,8 @@ pub fn flips_segment_at(index: usize) -> bool {
 /// payload) if chaos selected this append index, leaving its recorded
 /// CRCs stale. Returns `true` when a flip was injected — the segment
 /// scan is then guaranteed to quarantine the frame (payload hit) or
-/// everything from it onward (header hit), and the splice degrades by
-/// the documented ladder instead of trusting damaged storage.
+/// everything from it onward (header hit), and the consumer degrades
+/// to recomputing instead of trusting damaged storage.
 pub fn maybe_flip_segment_bit(index: usize, frame: &mut [u8]) -> bool {
     let Some(cfg) = config() else { return false };
     if frame.is_empty() || !flips_segment_at(index) {
@@ -296,7 +243,10 @@ mod tests {
         let cfg = ChaosConfig::with_seed(42);
         assert_eq!(roll(&cfg, "sweep", 7, 0x70), roll(&cfg, "sweep", 7, 0x70));
         assert_ne!(roll(&cfg, "sweep", 7, 0x70), roll(&cfg, "sweep", 8, 0x70));
-        assert_ne!(roll(&cfg, "sweep", 7, 0x70), roll(&cfg, "splice", 7, 0x70));
+        assert_ne!(
+            roll(&cfg, "sweep", 7, 0x70),
+            roll(&cfg, "campaign", 7, 0x70)
+        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! # Durable checkpoint store — CRC-framed snapshot segments
 //!
-//! The splice layer's fast pass emits a
-//! [`ProcessorSnapshot`](cimon_pipeline::ProcessorSnapshot) every few
-//! million retired instructions. Held in RAM those snapshots make the
-//! splice's memory footprint scale with program length; this module
-//! spills them to disk instead, in an append-only *segment* of
-//! self-describing frames, so the resident working set is one frame
-//! regardless of how long the run is.
+//! A fault campaign's clean reference run takes a
+//! [`ProcessorSnapshot`](cimon_pipeline::ProcessorSnapshot) at regular
+//! retired-instruction intervals, so faulted runs can restart from the
+//! last clean checkpoint instead of from scratch. Held in RAM those
+//! snapshots make the campaign's memory footprint scale with program
+//! length; with [`SpillMode::Disk`] this module spills them to disk
+//! instead, in an append-only *segment* of self-describing frames, so
+//! the resident working set is one frame regardless of how long the
+//! run is.
 //!
 //! ## Frame format
 //!
@@ -42,9 +44,9 @@
 //!   The fragment is quarantined.
 //!
 //! A quarantined frame never produces bytes; consumers degrade by
-//! *recomputing from the previous good checkpoint* (the splice's
-//! [`SpliceRung::SplicedSpillRecompute`](crate::SpliceRung) rung), so
-//! damaged storage costs parallelism, never correctness.
+//! *recomputing from an earlier point* (a campaign runs that faulted
+//! execution from scratch), so damaged storage costs saved cycles,
+//! never correctness.
 //!
 //! Segments are scratch spill files — recomputable from the program
 //! image — so [`SegmentWriter::finish`] syncs file data but does not
@@ -65,6 +67,19 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::chaos;
+
+/// Where a run keeps its checkpoints.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SpillMode {
+    /// Checkpoints stay in RAM (a `Vec<ProcessorSnapshot>`); memory
+    /// scales with program length.
+    #[default]
+    Ram,
+    /// Checkpoints are serialised to a CRC-framed scratch segment on
+    /// disk as they are taken; RAM holds one frame index entry per
+    /// checkpoint.
+    Disk,
+}
 
 /// Leading bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"CKP1";
@@ -343,8 +358,8 @@ pub fn scan(path: &Path) -> std::io::Result<SegmentIndex> {
     Ok(index)
 }
 
-/// The random-access read side. Each consumer (splice shard, campaign
-/// worker) opens its own reader — its own `File`, its own cursor — so
+/// The random-access read side. Each consumer (a campaign worker)
+/// opens its own reader — its own `File`, its own cursor — so
 /// concurrent reads share nothing.
 #[derive(Debug)]
 pub struct SegmentReader {
@@ -390,7 +405,7 @@ impl SegmentReader {
 
 /// A unique scratch path for one spill segment, under the system temp
 /// directory. The file is deleted when the handle drops, so a spilled
-/// splice leaves nothing behind even on the error paths.
+/// campaign leaves nothing behind even on the error paths.
 #[derive(Debug)]
 pub struct ScratchSegment {
     path: PathBuf,
@@ -439,7 +454,9 @@ mod tests {
 
     /// Tests that write through the chaos injection sites and then
     /// assert exact on-disk structure skip under `CIMON_CHAOS=1` — the
-    /// splice differential suites own the chaos-mode spill story.
+    /// chaos-mode spill story is owned by
+    /// `disk_spill_under_chaos_classifies_like_ram` in
+    /// `crates/faults/tests/chaos_campaign.rs`.
     fn chaos_mode() -> bool {
         chaos::enabled()
     }
