@@ -9,6 +9,7 @@
 //! |--------|----------|
 //! | `fig6_miss_rate` | Figure 6 — IHT miss rate vs table size |
 //! | `table1_cycle_overhead` | Table 1 — cycle overhead CIC8/CIC16 |
+//! | `paper_grid` | the full grid's counters, both hash algorithms |
 //! | `table2_area` | Table 2 — cycle time and cell area |
 //! | `fault_analysis` | Section 6.3 — detection coverage |
 //! | `block_census` | Section 6.1 — executed-block counts |
@@ -85,6 +86,16 @@ pub fn paper_grid() -> Sweep {
     let mut sweep = Sweep::new();
     sweep.grid(suite(), &FIG6_SIZES, &GRID_ALGOS, SimConfig::default());
     sweep
+}
+
+/// Run the full paper grid ([`paper_grid`]) and assert every row ran
+/// clean: the rows behind `BENCH_grid.json`.
+///
+/// # Panics
+///
+/// Panics if a workload fails analysis or a row does not run clean.
+pub fn grid_rows() -> Vec<ResultRow> {
+    run_clean(&paper_grid())
 }
 
 /// Run a sweep and assert every row ran clean (expected exit code, no

@@ -19,6 +19,13 @@ fn full_paper_grid_parallel_is_byte_identical_to_serial() {
     let serial = grid.run_serial().expect("grid analyses");
     assert_eq!(parallel, serial, "parallel sweep must be deterministic");
 
+    // Every row's architectural counters, both hash algorithms, are
+    // pinned byte for byte (the CI bench job diffs the same file).
+    assert!(
+        cimon_bench::report::to_json(&serial) == include_str!("../reference/BENCH_grid.json"),
+        "grid counters drifted from crates/bench/reference/BENCH_grid.json"
+    );
+
     // Every grid point ran clean: expected exit code, no mismatches.
     for row in &parallel {
         assert!(

@@ -157,16 +157,19 @@ impl Cic {
         probe.digest()
     }
 
-    /// Account `n` words as hashed without touching the digest — the
-    /// fast-pass path that replays a memoized per-block digest must
-    /// keep [`CicStats::words_hashed`] exactly what per-word hashing
+    /// Account `n` words as hashed without touching the digest. A
+    /// block check that reuses a memoized whole-block digest (see
+    /// `Monitor::check_memoized` in `cimon-pipeline`) calls this so
+    /// [`CicStats::words_hashed`] stays exactly what hashing the words
     /// would have left.
     pub fn note_words_hashed(&mut self, n: u64) {
         self.stats.words_hashed += n;
     }
 
     /// Whether the hash unit currently sits in its reset state — the
-    /// precondition for replaying a memoized whole-block digest.
+    /// precondition for using a memoized whole-block digest: hashing
+    /// the block's words from here would leave exactly that digest,
+    /// and the reset after the check would leave the unit as it is.
     pub fn hasher_is_reset(&self) -> bool {
         let mut probe = HashAlgo::new(self.config.hash_algo, self.config.hash_seed);
         probe.reset();

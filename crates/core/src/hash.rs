@@ -440,6 +440,23 @@ impl Crc32Hasher {
     }
 }
 
+/// CRC-32 (IEEE 802.3, reflected; zlib's `crc32`) over a byte string,
+/// on the hash unit's own table. The checkpoint store and the serve
+/// journal frame their bytes with it.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_continue(0xFFFF_FFFF, bytes)
+}
+
+/// Extend a running CRC-32 with more bytes. `state` is the *raw*
+/// register (pass `crc ^ 0xFFFF_FFFF` to continue from a finished
+/// [`crc32`] digest); the caller applies the final inversion. The serve
+/// layer's per-row CRC chain is built on this.
+pub fn crc32_continue(state: u32, bytes: &[u8]) -> u32 {
+    bytes
+        .iter()
+        .fold(state, |crc, &byte| Crc32Hasher::absorb(crc, byte))
+}
+
 impl Default for Crc32Hasher {
     fn default() -> Self {
         Crc32Hasher::new()
@@ -673,6 +690,17 @@ mod tests {
         assert_eq!(hash_words(HashAlgoKind::Crc32, 0, V1), 0xed82_cd11);
         assert_eq!(hash_words(HashAlgoKind::Crc32, 0, V3), 0x6ddb_5d74);
         assert_eq!(hash_words(HashAlgoKind::Crc32, 0, V4), 0xd6a1_84ec);
+    }
+
+    #[test]
+    fn byte_crc32_is_the_hash_unit_on_the_same_table() {
+        // zlib's check value, whole and continued across a cut.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let mid = crc32_continue(0xFFFF_FFFF, b"12345");
+        assert_eq!(!crc32_continue(mid, b"6789"), 0xCBF4_3926);
+        // A word sequence hashes like its little-endian bytes.
+        let bytes: Vec<u8> = V4.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(crc32(&bytes), hash_words(HashAlgoKind::Crc32, 0, V4));
     }
 
     #[test]

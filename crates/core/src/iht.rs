@@ -28,13 +28,6 @@ pub enum LookupOutcome {
     Miss,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    record: BlockRecord,
-    /// Monotonic recency stamp; larger = more recently used.
-    stamp: u64,
-}
-
 /// Cumulative lookup statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IhtStats {
@@ -60,17 +53,52 @@ impl IhtStats {
     }
 }
 
+/// `(start << 32) | end`: a block key as one comparable word. Keys
+/// are word-aligned, so no valid key packs to [`INVALID`].
+#[inline]
+fn pack(key: BlockKey) -> u64 {
+    (u64::from(key.start) << 32) | u64::from(key.end)
+}
+
+/// The packed key of an empty way.
+const INVALID: u64 = u64::MAX;
+
+/// One way of the table.
+#[derive(Clone, Copy, Debug)]
+struct Way {
+    /// Packed `(start, end)` key, [`INVALID`] when the way is empty.
+    key: u64,
+    /// Monotonic recency stamp; larger = more recently used
+    /// (meaningless when the way is empty).
+    stamp: u64,
+    /// The stored hash (meaningless when the way is empty).
+    hash: u32,
+}
+
+impl Way {
+    const EMPTY: Way = Way {
+        key: INVALID,
+        stamp: 0,
+        hash: 0,
+    };
+}
+
 /// The internal hash table.
+///
+/// The CAM search is a scan of the ways' packed keys, one `u64`
+/// compare per way. The matched way's hash and stamp sit beside its
+/// key, in the cache line the scan just read (separate key, hash and
+/// stamp arrays measured slower).
 #[derive(Clone, Debug)]
 pub struct Iht {
-    slots: Vec<Option<Slot>>,
+    ways: Vec<Way>,
     clock: u64,
     stats: IhtStats,
-    /// Slot of the last key match — probed first on the next lookup.
+    /// Way of the last key match — probed first on the next lookup.
     /// Hot loops re-check the block they just checked, so this turns
     /// the common-case scan into a single compare. Pure search-order
     /// state: the modelled CAM searches all ways in parallel, and keys
-    /// are unique in the table, so which slot is examined first is
+    /// are unique in the table, so which way is examined first is
     /// unobservable in outcomes, statistics, and recency.
     mru: usize,
 }
@@ -84,7 +112,7 @@ impl Iht {
     pub fn new(entries: usize) -> Iht {
         assert!(entries > 0, "IHT must have at least one entry");
         Iht {
-            slots: vec![None; entries],
+            ways: vec![Way::EMPTY; entries],
             clock: 0,
             stats: IhtStats::default(),
             mru: 0,
@@ -93,12 +121,12 @@ impl Iht {
 
     /// Table capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ways.len()
     }
 
     /// Number of valid entries.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.ways.iter().filter(|w| w.key != INVALID).count()
     }
 
     /// Whether no entry is valid.
@@ -121,6 +149,24 @@ impl Iht {
         self.clock
     }
 
+    /// The record held by valid way `i`.
+    fn record(&self, i: usize) -> BlockRecord {
+        let w = self.ways[i];
+        BlockRecord {
+            key: BlockKey {
+                start: (w.key >> 32) as u32,
+                end: w.key as u32,
+            },
+            hash: w.hash,
+        }
+    }
+
+    /// The way whose packed key is `packed`, if any.
+    #[inline]
+    fn find(&self, packed: u64) -> Option<usize> {
+        self.ways.iter().position(|w| w.key == packed)
+    }
+
     /// The associative lookup performed by the ID-stage micro-op
     /// `<found,match> = IHTbb.lookup(<start,end,hashv>)`.
     ///
@@ -129,45 +175,37 @@ impl Iht {
     pub fn lookup(&mut self, key: BlockKey, hash: u32) -> LookupOutcome {
         self.stats.lookups += 1;
         let stamp = self.tick();
-        let mru = self.mru.min(self.slots.len() - 1);
-        let check = |i: usize, slots: &mut [Option<Slot>], stats: &mut IhtStats| {
-            let slot = slots[i].as_mut()?;
-            if slot.record.key != key {
-                return None;
-            }
-            if slot.record.hash == hash {
-                slot.stamp = stamp;
-                stats.hits += 1;
-                Some(LookupOutcome::Hit)
-            } else {
-                stats.mismatches += 1;
-                Some(LookupOutcome::Mismatch {
-                    expected: slot.record.hash,
-                })
+        let packed = pack(key);
+        // Probe the most-recently-matched way first (see `mru`).
+        let i = if self.ways.get(self.mru).map(|w| w.key) == Some(packed) {
+            self.mru
+        } else {
+            match self.find(packed) {
+                Some(i) => {
+                    self.mru = i;
+                    i
+                }
+                None => {
+                    self.stats.misses += 1;
+                    return LookupOutcome::Miss;
+                }
             }
         };
-        // Probe the most-recently-matched way first (see `mru`).
-        if let Some(out) = check(mru, &mut self.slots, &mut self.stats) {
-            return out;
+        let way = &mut self.ways[i];
+        if way.hash == hash {
+            way.stamp = stamp;
+            self.stats.hits += 1;
+            LookupOutcome::Hit
+        } else {
+            self.stats.mismatches += 1;
+            LookupOutcome::Mismatch { expected: way.hash }
         }
-        for i in (0..self.slots.len()).filter(|&i| i != mru) {
-            if let Some(out) = check(i, &mut self.slots, &mut self.stats) {
-                self.mru = i;
-                return out;
-            }
-        }
-        self.stats.misses += 1;
-        LookupOutcome::Miss
     }
 
     /// Probe without touching recency or statistics (used by tests and
     /// the OS to inspect the table).
     pub fn probe(&self, key: BlockKey) -> Option<BlockRecord> {
-        self.slots
-            .iter()
-            .flatten()
-            .find(|s| s.record.key == key)
-            .map(|s| s.record)
+        self.find(pack(key)).map(|i| self.record(i))
     }
 
     /// Slot indices ordered least-recently-used first. Invalid slots come
@@ -183,11 +221,20 @@ impl Iht {
     /// not allocate once the buffer has warmed.
     pub fn lru_order_into(&self, out: &mut Vec<usize>) {
         out.clear();
-        out.extend(0..self.slots.len());
-        out.sort_unstable_by_key(|&i| match &self.slots[i] {
-            None => (0u8, 0u64, i),
-            Some(s) => (1, s.stamp, i),
+        out.extend(0..self.ways.len());
+        out.sort_unstable_by_key(|&i| match self.ways[i] {
+            Way { key: INVALID, .. } => (0u8, 0u64, i),
+            Way { stamp, .. } => (1, stamp, i),
         });
+    }
+
+    /// Fill way `index` with `record`, marking it most recent.
+    fn set(&mut self, index: usize, record: BlockRecord, stamp: u64) {
+        self.ways[index] = Way {
+            key: pack(record.key),
+            stamp,
+            hash: record.hash,
+        };
     }
 
     /// Overwrite slot `index` with `record`, marking it most recent.
@@ -197,7 +244,7 @@ impl Iht {
     /// Panics if `index` is out of range.
     pub fn replace_at(&mut self, index: usize, record: BlockRecord) {
         let stamp = self.tick();
-        self.slots[index] = Some(Slot { record, stamp });
+        self.set(index, record, stamp);
     }
 
     /// Insert `record`, evicting the LRU slot if the table is full.
@@ -205,52 +252,48 @@ impl Iht {
     /// the entry is updated in place.
     pub fn insert_lru(&mut self, record: BlockRecord) -> Option<BlockRecord> {
         let stamp = self.tick();
-        if let Some(slot) = self
-            .slots
-            .iter_mut()
-            .flatten()
-            .find(|s| s.record.key == record.key)
-        {
-            slot.record = record;
-            slot.stamp = stamp;
+        if let Some(i) = self.find(pack(record.key)) {
+            self.set(i, record, stamp);
             return None;
         }
-        let victim_idx = self.lru_order()[0];
-        let evicted = self.slots[victim_idx].map(|s| s.record);
-        self.slots[victim_idx] = Some(Slot { record, stamp });
+        let victim = self.lru_order()[0];
+        let evicted = (self.ways[victim].key != INVALID).then(|| self.record(victim));
+        self.set(victim, record, stamp);
         evicted
     }
 
     /// Invalidate every entry (e.g. on context switch).
     pub fn flush(&mut self) {
-        self.slots.fill(None);
+        self.ways.fill(Way::EMPTY);
     }
 
     /// Iterate over the valid records, in slot order.
     pub fn records(&self) -> impl Iterator<Item = BlockRecord> + '_ {
-        self.slots.iter().flatten().map(|s| s.record)
+        (0..self.ways.len())
+            .filter(|&i| self.ways[i].key != INVALID)
+            .map(|i| self.record(i))
     }
 
     /// Serialize the table — entries, recency stamps, statistics, and
     /// search-order state — for checkpoint spill.
     pub fn encode_into(&self, e: &mut Enc) {
-        e.usize(self.slots.len());
+        e.usize(self.ways.len());
         e.u64(self.clock);
         e.u64(self.stats.lookups);
         e.u64(self.stats.hits);
         e.u64(self.stats.mismatches);
         e.u64(self.stats.misses);
         e.usize(self.mru);
-        for slot in &self.slots {
-            match slot {
-                None => e.bool(false),
-                Some(s) => {
-                    e.bool(true);
-                    e.u32(s.record.key.start);
-                    e.u32(s.record.key.end);
-                    e.u32(s.record.hash);
-                    e.u64(s.stamp);
-                }
+        for (i, way) in self.ways.iter().enumerate() {
+            if way.key == INVALID {
+                e.bool(false);
+            } else {
+                let r = self.record(i);
+                e.bool(true);
+                e.u32(r.key.start);
+                e.u32(r.key.end);
+                e.u32(r.hash);
+                e.u64(way.stamp);
             }
         }
     }
@@ -283,33 +326,31 @@ impl Iht {
         }
         // Cap the pre-allocation: a corrupt capacity fails on the first
         // truncated slot read instead of aborting in the allocator.
-        let mut slots = Vec::with_capacity(capacity.min(1 << 16));
+        let mut ways = Vec::with_capacity(capacity.min(1 << 16));
         for _ in 0..capacity {
-            slots.push(if d.bool()? {
+            ways.push(if d.bool()? {
                 let start = d.u32()?;
                 let end = d.u32()?;
                 let hash = d.u32()?;
                 let stamp = d.u64()?;
-                // Validate before the constructor: its well-formedness
-                // panics must become typed errors on corrupt bytes.
+                // Validate before packing: a malformed key must become a
+                // typed error, never a way the lookup could match.
                 if start % 4 != 0 || end % 4 != 0 || end < start {
                     return Err(CodecError::Invalid {
                         what: "IHT block key",
                     });
                 }
-                Some(Slot {
-                    record: BlockRecord {
-                        key: BlockKey::new(start, end),
-                        hash,
-                    },
+                Way {
+                    key: pack(BlockKey::new(start, end)),
                     stamp,
-                })
+                    hash,
+                }
             } else {
-                None
+                Way::EMPTY
             });
         }
         Ok(Iht {
-            slots,
+            ways,
             clock,
             stats,
             mru,

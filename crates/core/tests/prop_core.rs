@@ -2,7 +2,9 @@
 //! abstract LRU-tagged map, and the hash units obey their detection
 //! algebra.
 
+use cimon_core::iht::IhtStats;
 use cimon_core::{hash, BlockKey, BlockRecord, HashAlgoKind, Iht, LookupOutcome};
+use cimon_isa::codec::{Dec, Enc};
 use proptest::prelude::*;
 
 /// Abstract operations on the table.
@@ -59,7 +61,164 @@ impl Model {
     }
 }
 
+/// Operations on the table for the way-level reference below: every
+/// public mutator, plus a checkpoint round trip through the codec.
+#[derive(Clone, Debug)]
+enum WayOp {
+    Lookup { start: u8, hash: u8 },
+    Insert { start: u8, hash: u8 },
+    ReplaceAt { way: u8, start: u8, hash: u8 },
+    Flush,
+    RoundTrip,
+}
+
+fn arb_way_op() -> impl Strategy<Value = WayOp> {
+    prop_oneof![
+        (0u8..12, 0u8..4).prop_map(|(start, hash)| WayOp::Lookup { start, hash }),
+        (0u8..12, 0u8..4).prop_map(|(start, hash)| WayOp::Lookup { start, hash }),
+        (0u8..12, 0u8..4).prop_map(|(start, hash)| WayOp::Insert { start, hash }),
+        (any::<u8>(), 0u8..12, 0u8..4).prop_map(|(way, start, hash)| WayOp::ReplaceAt {
+            way,
+            start,
+            hash
+        }),
+        (0u8..30).prop_map(|_| WayOp::Flush),
+        (0u8..4).prop_map(|_| WayOp::RoundTrip),
+    ]
+}
+
+/// A deliberately naive table: one optional `(record, stamp)` per way,
+/// searched by a linear scan over full keys — the CAM as the paper
+/// describes it, with none of the packing or probe-order tricks.
+#[derive(Clone, Debug)]
+struct NaiveIht {
+    ways: Vec<Option<(BlockRecord, u64)>>,
+    clock: u64,
+    stats: IhtStats,
+}
+
+impl NaiveIht {
+    fn new(cap: usize) -> NaiveIht {
+        NaiveIht {
+            ways: vec![None; cap],
+            clock: 0,
+            stats: IhtStats::default(),
+        }
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn lookup(&mut self, key: BlockKey, hash: u32) -> LookupOutcome {
+        self.stats.lookups += 1;
+        let stamp = self.tick();
+        for way in self.ways.iter_mut().flatten() {
+            if way.0.key == key {
+                if way.0.hash == hash {
+                    way.1 = stamp;
+                    self.stats.hits += 1;
+                    return LookupOutcome::Hit;
+                }
+                self.stats.mismatches += 1;
+                return LookupOutcome::Mismatch {
+                    expected: way.0.hash,
+                };
+            }
+        }
+        self.stats.misses += 1;
+        LookupOutcome::Miss
+    }
+
+    fn lru_order(&self) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..self.ways.len()).collect();
+        idx.sort_by_key(|&i| match self.ways[i] {
+            None => (0u8, 0u64, i),
+            Some((_, stamp)) => (1, stamp, i),
+        });
+        idx
+    }
+
+    fn replace_at(&mut self, way: usize, record: BlockRecord) {
+        let stamp = self.tick();
+        self.ways[way] = Some((record, stamp));
+    }
+
+    fn insert_lru(&mut self, record: BlockRecord) -> Option<BlockRecord> {
+        let stamp = self.tick();
+        for way in self.ways.iter_mut().flatten() {
+            if way.0.key == record.key {
+                *way = (record, stamp);
+                return None;
+            }
+        }
+        let victim = self.lru_order()[0];
+        let evicted = self.ways[victim].map(|(r, _)| r);
+        self.ways[victim] = Some((record, stamp));
+        evicted
+    }
+
+    fn records(&self) -> Vec<BlockRecord> {
+        self.ways.iter().flatten().map(|(r, _)| *r).collect()
+    }
+}
+
 proptest! {
+    /// The packed-key table matches the naive way-by-way scan on every
+    /// outcome, eviction, statistic and recency order, for any operation
+    /// sequence, any capacity (1 and 8 included), and across checkpoint
+    /// round trips through `encode_into`/`decode_from`.
+    #[test]
+    fn packed_key_iht_matches_naive_scan(
+        cap in 1usize..10,
+        ops in prop::collection::vec(arb_way_op(), 1..160),
+    ) {
+        let mut iht = Iht::new(cap);
+        let mut naive = NaiveIht::new(cap);
+        for op in ops {
+            match op {
+                WayOp::Lookup { start, hash } => {
+                    let got = iht.lookup(key(start), hash as u32);
+                    prop_assert_eq!(got, naive.lookup(key(start), hash as u32));
+                }
+                WayOp::Insert { start, hash } => {
+                    let r = BlockRecord { key: key(start), hash: hash as u32 };
+                    prop_assert_eq!(iht.insert_lru(r), naive.insert_lru(r));
+                }
+                WayOp::ReplaceAt { way, start, hash } => {
+                    // Keys stay unique, as the OS refill keeps them.
+                    if iht.probe(key(start)).is_none() {
+                        let r = BlockRecord { key: key(start), hash: hash as u32 };
+                        let way = way as usize % cap;
+                        iht.replace_at(way, r);
+                        naive.replace_at(way, r);
+                    }
+                }
+                WayOp::Flush => {
+                    iht.flush();
+                    naive.ways.fill(None);
+                }
+                WayOp::RoundTrip => {
+                    let mut e = Enc::new();
+                    iht.encode_into(&mut e);
+                    let bytes = e.into_bytes();
+                    let mut d = Dec::new(&bytes);
+                    iht = Iht::decode_from(&mut d).unwrap();
+                    d.finish().unwrap();
+                }
+            }
+            prop_assert_eq!(iht.stats(), naive.stats);
+            prop_assert_eq!(iht.lru_order(), naive.lru_order());
+            prop_assert_eq!(iht.records().collect::<Vec<_>>(), naive.records());
+            prop_assert_eq!(iht.len(), naive.records().len());
+            for start in 0..12 {
+                let want = naive.records().into_iter().find(|r| r.key == key(start));
+                prop_assert_eq!(iht.probe(key(start)), want);
+            }
+        }
+    }
+
     /// The hardware IHT agrees with the abstract LRU map on every
     /// lookup outcome, for any operation sequence and any capacity.
     #[test]

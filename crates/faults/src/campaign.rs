@@ -475,7 +475,7 @@ impl Campaign {
             None,
             true,
         );
-        let text_epoch = cpu.mem().dense_epoch();
+        let text_stores = cpu.mem().dense_stores();
         let disk = self.spill == SpillMode::Disk;
         let mut seg = None;
         let mut writer = None;
@@ -507,7 +507,7 @@ impl Campaign {
                 }
             }
         }
-        if cpu.mem().dense_epoch() != text_epoch {
+        if cpu.mem().dense_stores() != text_stores {
             return None;
         }
         let reference_cycles = cpu.stats().cycles;

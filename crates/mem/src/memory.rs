@@ -103,11 +103,14 @@ pub struct Memory {
     /// Empty when no dense region was reserved. Copy-on-write: shared
     /// with snapshots until a text write lands.
     dense: Arc<[u8]>,
-    /// Bumped by every write landing in the dense region (the program
-    /// text). Callers that validated a span of the region can skip
-    /// re-validating while this is unchanged — data and stack traffic
-    /// lives on the sparse pages and never bumps it.
+    /// Bumped by every write that changes bytes of the dense region
+    /// (the program text). Callers that validated a span of the region
+    /// can skip re-validating while this is unchanged — data and stack
+    /// traffic lives on the sparse pages and never bumps it, and a
+    /// store of the bytes already there leaves it alone.
     dense_epoch: u64,
+    /// Counts every write landing in the dense region, changing or not.
+    dense_stores: u64,
     pages: PageMap,
 }
 
@@ -153,17 +156,27 @@ impl Memory {
             dense_base: base,
             dense: Arc::from(vec![0u8; len]),
             dense_epoch: 0,
+            dense_stores: 0,
             pages: PageMap::default(),
         }
     }
 
     /// Generation counter of the dense region: incremented by every
-    /// write that lands inside it. Two equal readings with no tap in
-    /// between prove the region's bytes are unchanged, so block
-    /// dispatch revalidates a cached block only after text writes.
+    /// write that changes bytes inside it. Two equal readings with no
+    /// tap in between prove the region's bytes are unchanged, so block
+    /// dispatch revalidates a cached block only after text writes that
+    /// changed it — a store of the bytes already there keeps the epoch
+    /// (and skips the copy-on-write clone of a shared region).
     #[inline]
     pub fn dense_epoch(&self) -> u64 {
         self.dense_epoch
+    }
+
+    /// Number of writes that landed in the dense region, whether or not
+    /// they changed it: nonzero exactly when the program has stored
+    /// into its own text.
+    pub fn dense_stores(&self) -> u64 {
+        self.dense_stores
     }
 
     /// Number of resident (touched) sparse pages. The dense region is
@@ -229,14 +242,24 @@ impl Memory {
         )
     }
 
-    /// Mutable view of the dense buffer, cloning it first if a snapshot
-    /// still shares it (text writes are rare — tampering and authorised
-    /// patches — so the copy never sits on a hot path).
-    fn dense_mut(&mut self) -> &mut [u8] {
+    /// Store `bytes` at dense offset `off`, counting the store. Bytes
+    /// equal to the ones already there leave the region untouched:
+    /// neither the epoch nor the copy-on-write buffer changes. A real
+    /// change clones the buffer first if a snapshot still shares it
+    /// (text writes are rare — tampering and authorised patches — so
+    /// the copy never sits on a hot path) and bumps the epoch.
+    fn dense_store(&mut self, off: usize, bytes: &[u8]) {
+        self.dense_stores += 1;
+        if self.dense[off..off + bytes.len()] == *bytes {
+            return;
+        }
         if Arc::get_mut(&mut self.dense).is_none() {
             self.dense = Arc::from(self.dense.to_vec());
         }
         Arc::get_mut(&mut self.dense).unwrap_or_else(|| unreachable!("unshared after clone"))
+            [off..off + bytes.len()]
+            .copy_from_slice(bytes);
+        self.dense_epoch += 1;
     }
 
     /// Read one byte. Never fails; untouched memory is zero.
@@ -255,8 +278,7 @@ impl Memory {
     #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8) {
         if let Some(off) = self.dense_off(addr) {
-            self.dense_mut()[off] = value;
-            self.dense_epoch += 1;
+            self.dense_store(off, &[value]);
             return;
         }
         self.page_mut(addr)[(addr % PAGE_SIZE) as usize] = value;
@@ -300,8 +322,7 @@ impl Memory {
         let b = value.to_le_bytes();
         if let Some(off) = self.dense_off(addr) {
             if off + 2 <= self.dense.len() {
-                self.dense_mut()[off..off + 2].copy_from_slice(&b);
-                self.dense_epoch += 1;
+                self.dense_store(off, &b);
                 return Ok(());
             }
         }
@@ -353,8 +374,7 @@ impl Memory {
         let b = value.to_le_bytes();
         if let Some(off) = self.dense_off(addr) {
             if off + 4 <= self.dense.len() {
-                self.dense_mut()[off..off + 4].copy_from_slice(&b);
-                self.dense_epoch += 1;
+                self.dense_store(off, &b);
                 return Ok(());
             }
         }
@@ -398,14 +418,16 @@ impl Memory {
         self.write_u8(addr, old ^ (1 << bit));
     }
 
-    /// Serialize the complete memory — dense region, epoch counter, and
-    /// every resident sparse page in ascending page order — so a decoded
-    /// copy is indistinguishable from a [`Memory::clone`] snapshot
-    /// (epoch included; callers compare epochs across checkpoints).
+    /// Serialize the complete memory — dense region, epoch and store
+    /// counters, and every resident sparse page in ascending page
+    /// order — so a decoded copy is indistinguishable from a
+    /// [`Memory::clone`] snapshot (counters included; callers compare
+    /// them across checkpoints).
     pub fn encode_into(&self, e: &mut Enc) {
         e.u32(self.dense_base);
         e.bytes(&self.dense);
         e.u64(self.dense_epoch);
+        e.u64(self.dense_stores);
         let mut keys: Vec<u32> = self.pages.keys().copied().collect();
         keys.sort_unstable();
         e.usize(keys.len());
@@ -425,6 +447,7 @@ impl Memory {
         let dense_base = d.u32()?;
         let dense: Arc<[u8]> = Arc::from(d.bytes()?.to_vec());
         let dense_epoch = d.u64()?;
+        let dense_stores = d.u64()?;
         let n_pages = d.usize()?;
         let mut pages = PageMap::default();
         for _ in 0..n_pages {
@@ -442,6 +465,7 @@ impl Memory {
             dense_base,
             dense,
             dense_epoch,
+            dense_stores,
             pages,
         })
     }
@@ -566,6 +590,32 @@ mod tests {
     }
 
     #[test]
+    fn same_value_text_stores_keep_the_epoch_and_the_shared_buffer() {
+        let mut m = Memory::with_dense_region(0x1000, 8);
+        m.write_u32(0x1000, 0x1122_3344).unwrap();
+        assert_eq!((m.dense_epoch(), m.dense_stores()), (1, 1));
+        let snap = m.clone();
+        // Rewriting the bytes already there, at every width: counted as
+        // stores, but the epoch holds and the buffer stays shared.
+        m.write_u32(0x1000, 0x1122_3344).unwrap();
+        m.write_u16(0x1002, 0x1122).unwrap();
+        m.write_u8(0x1000, 0x44);
+        m.write_bytes(0x1004, &[0, 0]);
+        assert_eq!((m.dense_epoch(), m.dense_stores()), (1, 6));
+        let (_, live) = m.dense_region().unwrap();
+        let (_, shared) = snap.dense_region().unwrap();
+        assert!(std::ptr::eq(live, shared), "no copy-on-write clone");
+        // A store that changes one byte bumps the epoch and unshares.
+        m.write_u16(0x1000, 0x3345).unwrap();
+        assert_eq!((m.dense_epoch(), m.dense_stores()), (2, 7));
+        assert_eq!(m.read_u32(0x1000).unwrap(), 0x1122_3345);
+        assert_eq!(snap.read_u32(0x1000).unwrap(), 0x1122_3344);
+        // Data-page stores touch neither counter.
+        m.write_u32(0x9000, 1).unwrap();
+        assert_eq!((m.dense_epoch(), m.dense_stores()), (2, 7));
+    }
+
+    #[test]
     fn encode_decode_round_trips_contents_and_epoch() {
         let mut m = Memory::with_dense_region(0x1000, 12);
         m.write_u32(0x1004, 0xdead_beef).unwrap(); // bumps the epoch
@@ -578,6 +628,7 @@ mod tests {
         let back = Memory::decode_from(&mut d).unwrap();
         d.finish().unwrap();
         assert_eq!(back.dense_epoch(), m.dense_epoch());
+        assert_eq!(back.dense_stores(), m.dense_stores());
         assert_eq!(back.dense_region(), m.dense_region());
         assert_eq!(back.read_u32(0x1004).unwrap(), 0xdead_beef);
         assert_eq!(back.read_u32(0x9000).unwrap(), 0x1234_5678);

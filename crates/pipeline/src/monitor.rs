@@ -121,6 +121,12 @@ impl MonitorState {
 /// 4. [`resolve`](Monitor::resolve) — an exception the check program
 ///    raised must be serviced; the [`Verdict`] either stalls or kills.
 ///
+/// The block dispatcher also drives fused forms of these events —
+/// [`observe_block`](Monitor::observe_block),
+/// [`observe_check_reset`](Monitor::observe_check_reset) and
+/// [`check_memoized`](Monitor::check_memoized) — each of which must be
+/// exactly equivalent to the composition its default performs.
+///
 /// Everything else ([`params`](Monitor::params), the stats accessors) is
 /// configuration and reporting.
 pub trait Monitor {
@@ -168,6 +174,29 @@ pub trait Monitor {
         let (found, matched) = self.check_block(key, digest);
         self.hash_reset();
         (digest, found, matched)
+    }
+
+    /// [`observe_check_reset`](Monitor::observe_check_reset) for a
+    /// block whose digest the caller already knows.
+    ///
+    /// The dispatcher calls this only when the block starts fresh (the
+    /// digest in its reset state) and `words` are the block's cached,
+    /// bulk-validated words, and only with the `digest` an earlier
+    /// [`observe_check_reset`](Monitor::observe_check_reset) call
+    /// returned for the same words from the same fresh start. A hash
+    /// unit is a pure function of the words it absorbs from its reset
+    /// state, so hashing `words` again would yield `digest` again.
+    ///
+    /// Contract: the result and every side effect must be exactly
+    /// those of `observe_check_reset(words, key)` — the default simply
+    /// calls it, ignoring `digest`, so a monitor that does not override
+    /// this hook behaves as if no memo existed. An override may skip
+    /// the hashing, but must still account for it (the CIC adds
+    /// `words.len()` to its `words_hashed` counter) and must leave the
+    /// hash unit in its reset state, where it already is.
+    fn check_memoized(&mut self, words: &[u32], key: BlockKey, digest: u32) -> (u32, bool, bool) {
+        let _ = digest;
+        self.observe_check_reset(words, key)
     }
 
     /// Service an exception raised by the check program.
@@ -298,6 +327,20 @@ impl Monitor for CicMonitor {
         let digest = self.cic.hash_block_step(words);
         let (found, matched) = self.cic.check_block(key, digest);
         self.cic.hash_reset();
+        (digest, found, matched)
+    }
+
+    fn check_memoized(&mut self, words: &[u32], key: BlockKey, digest: u32) -> (u32, bool, bool) {
+        debug_assert!(
+            self.cic.hasher_is_reset(),
+            "a memoized digest stands in only for hashing from the reset state"
+        );
+        debug_assert_eq!(digest, {
+            let cfg = self.cic.config();
+            cimon_core::hash::hash_block(cfg.hash_algo, cfg.hash_seed, words)
+        });
+        self.cic.note_words_hashed(words.len() as u64);
+        let (found, matched) = self.cic.check_block(key, digest);
         (digest, found, matched)
     }
 

@@ -82,7 +82,7 @@ pub struct BlockExecStats {
     /// predecoded form) that bailed out to the per-instruction path.
     pub bailouts: u64,
     /// Bulk dispatches that ended right after a store before the
-    /// block's last instruction, because the store wrote the program
+    /// block's last instruction, because the store changed the program
     /// text (bumped the memory's text epoch); the next dispatch
     /// revalidates the rest of the block. Separate from `bailouts`,
     /// which counts word divergence.
@@ -1061,11 +1061,9 @@ pub struct Processor {
     /// successor slots observed on earlier dispatches. Empty when
     /// chaining is off or block dispatch is disabled.
     chain: Vec<ChainEdges>,
-    /// The memory dense-region epoch each slot's block was last
-    /// bulk-validated at (`u64::MAX` = never): while no write lands in
-    /// the text region, re-dispatching the block skips the byte
-    /// comparison entirely.
-    validated: Vec<u64>,
+    /// Per block slot: the text epoch the block was last
+    /// bulk-validated at, and its memoized digest.
+    memo: Vec<SlotMemo>,
     /// The slot the previous dispatch ran, and whether it exited
     /// through its taken edge — the link the next dispatch resolves or
     /// records. Cleared by bail-outs, non-bulk dispatches, and run
@@ -1204,8 +1202,8 @@ impl Processor {
             }
             _ => Vec::new(),
         };
-        let validated = match &block_cache {
-            Some(cache) => vec![u64::MAX; cache.len()],
+        let memo = match &block_cache {
+            Some(cache) => vec![SlotMemo::EMPTY; cache.len()],
             None => Vec::new(),
         };
         let live_in_skip = match &block_cache {
@@ -1222,7 +1220,7 @@ impl Processor {
             block_stats: BlockExecStats::default(),
             plans_ok,
             chain,
-            validated,
+            memo,
             chain_from: None,
             live_in_skip,
             dp,
@@ -1372,7 +1370,7 @@ impl Processor {
             shadow_block_start: self.shadow_block_start,
             block_stats: self.block_stats,
             chain: self.chain.clone(),
-            validated: self.validated.clone(),
+            validated: self.memo.iter().map(|m| m.epoch).collect(),
             live_in_skip: self.live_in_skip.clone(),
             chain_from: self.chain_from,
             checksum: 0,
@@ -1402,7 +1400,7 @@ impl Processor {
             });
         }
         debug_assert_eq!(self.chain.len(), snapshot.chain.len());
-        debug_assert_eq!(self.validated.len(), snapshot.validated.len());
+        debug_assert_eq!(self.memo.len(), snapshot.validated.len());
         self.dp = snapshot.dp.clone();
         self.regs = snapshot.regs.clone();
         self.hi = snapshot.hi;
@@ -1421,7 +1419,14 @@ impl Processor {
         self.shadow_block_start = snapshot.shadow_block_start;
         self.block_stats = snapshot.block_stats;
         self.chain = snapshot.chain.clone();
-        self.validated = snapshot.validated.clone();
+        // The digest memo is not part of the checkpoint: the restored
+        // monitor state may carry a different hash configuration.
+        for (memo, &epoch) in self.memo.iter_mut().zip(&snapshot.validated) {
+            *memo = SlotMemo {
+                epoch,
+                digest: None,
+            };
+        }
         self.live_in_skip = snapshot.live_in_skip.clone();
         self.chain_from = snapshot.chain_from;
         Ok(())
@@ -1685,14 +1690,14 @@ impl Processor {
         // region) or failure (tampering) selects per-word fetching,
         // which is exact in all cases and bails out at the diverging
         // word. A comparison that passed stays proven while the
-        // memory's dense-region epoch is unchanged (no write has landed
-        // in the text), so hot re-dispatches skip the bytes entirely.
+        // memory's dense-region epoch is unchanged (no write has changed
+        // the text), so hot re-dispatches skip the bytes entirely.
         // The bulk loops re-read the epoch after every store that is not
         // the block's last instruction, and split the dispatch when one
-        // wrote the text.
+        // changed the text.
         let epoch = self.env.mem.dense_epoch();
         let bulk = !self.env.bus.has_tap() && {
-            self.validated[slot as usize] == epoch || {
+            self.memo[slot as usize].epoch == epoch || {
                 let ok = match self.env.mem.dense_region() {
                     Some((base, bytes)) => {
                         let off = pc.wrapping_sub(base) as usize;
@@ -1701,7 +1706,7 @@ impl Processor {
                     None => false,
                 };
                 if ok {
-                    self.validated[slot as usize] = epoch;
+                    self.memo[slot as usize].epoch = epoch;
                 }
                 ok
             }
@@ -1743,6 +1748,7 @@ impl Processor {
             }
             if planned {
                 self.block_loop_planned(
+                    s,
                     block.entries,
                     block.words,
                     plan,
@@ -1957,9 +1963,20 @@ impl Processor {
     /// and issuing exactly the prefix sequential stepping would have:
     /// an execution fault, and a store that wrote the text
     /// ([`BlockLoopExit::Split`], right after the store).
+    ///
+    /// A block that starts fresh (`STA` = 0, the hash unit in its reset
+    /// state) and reaches its terminator here hashes exactly the slot's
+    /// cached `words` from the reset state, so its digest depends on
+    /// nothing else: the first such dispatch memoizes it in the slot's
+    /// [`SlotMemo`], and later ones hand it to
+    /// [`Monitor::check_memoized`] instead of hashing again. Text writes
+    /// cannot stale the memo (the cached words never change; a dispatch
+    /// whose memory differs from them is not bulk-validated), and bus
+    /// taps force the per-word path, which never reads it.
     #[allow(clippy::too_many_arguments)]
     fn block_loop_planned(
         &mut self,
+        slot: usize,
         entries: &[PredecodedEntry],
         words: &[u32],
         plan: &crate::timing::BlockPlan,
@@ -2044,9 +2061,19 @@ impl Processor {
         let mut pending = None;
         if monitored {
             if entry.is_control_flow {
-                let start = if *sta == 0 { start_pc } else { *sta };
+                let fresh = *sta == 0;
+                let start = if fresh { start_pc } else { *sta };
                 let key = BlockKey::new(start, pc);
-                let (digest, found, matched) = self.env.monitor.observe_check_reset(words, key);
+                let (digest, found, matched) = match self.memo[slot].digest {
+                    Some(digest) if fresh => self.env.monitor.check_memoized(words, key, digest),
+                    _ => {
+                        let txn = self.env.monitor.observe_check_reset(words, key);
+                        if fresh {
+                            self.memo[slot].digest = Some(txn.0);
+                        }
+                        txn
+                    }
+                };
                 if !found {
                     pending = Some((ExceptionKind::HashMiss, key, digest));
                 } else if !matched {
@@ -2190,6 +2217,28 @@ impl Exec {
 struct ChainEdge {
     pc: u32,
     slot: u32,
+}
+
+/// What a processor remembers about one block slot between dispatches.
+#[derive(Clone, Copy, Debug)]
+struct SlotMemo {
+    /// The memory dense-region epoch the block was last bulk-validated
+    /// at (`u64::MAX` = never): while no write lands in the text
+    /// region, re-dispatching the block skips the byte comparison
+    /// entirely.
+    epoch: u64,
+    /// The block's digest from the hash unit's reset state, once a
+    /// planned dispatch has computed it (see
+    /// [`Processor::block_loop_planned`]). Cleared by
+    /// [`Processor::restore`].
+    digest: Option<u32>,
+}
+
+impl SlotMemo {
+    const EMPTY: SlotMemo = SlotMemo {
+        epoch: u64::MAX,
+        digest: None,
+    };
 }
 
 /// The taken and fall-through successor edges of one block slot.

@@ -39,8 +39,9 @@ impl BusTap for OneShot {
 }
 
 /// A generated random program: straight-line ALU/memory traffic with
-/// forward branches (termination by construction), stores into its own
-/// text, and a clean exit.
+/// forward branches, stores into its own text, and a clean exit, the
+/// whole body run two or three times by an outer counted loop (so
+/// blocks are re-dispatched; termination holds by construction).
 #[derive(Clone, Debug)]
 struct RandomProgram {
     source: String,
@@ -56,8 +57,9 @@ struct RandomProgram {
 /// after the exit that never run themselves. Every text store is one
 /// instruction, so it lands at the first, a middle or the last body
 /// position of its block; A and B may be a later word of the same
-/// block or a word of another block. Donors are ALU instructions, so a
-/// patched program still only branches forward and terminates.
+/// block or a word of another block. Donors are ALU instructions on
+/// `$t` registers, so a patched program still only branches forward
+/// inside the body and leaves the loop counter `$s5` alone.
 fn random_program(n: usize, seed: u64) -> RandomProgram {
     use std::fmt::Write as _;
     let mut src = String::from("    .data\nbuf: .word ");
@@ -83,6 +85,7 @@ fn random_program(n: usize, seed: u64) -> RandomProgram {
         "    la $s0, L{target_a}\n    la $s1, L{target_b}\n    lw $s2, 0($s0)"
     );
     src.push_str("    la $s3, D0\n    lw $s3, 0($s3)\n    la $s4, D1\n    lw $s4, 0($s4)\n");
+    let _ = writeln!(src, "    li $s5, {}", 2 + seed % 2);
     let regs = ["$t0", "$t1", "$t2", "$t3", "$t4", "$t5", "$t6", "$t7"];
     for i in 0..n {
         let _ = writeln!(src, "L{i}:");
@@ -123,6 +126,7 @@ fn random_program(n: usize, seed: u64) -> RandomProgram {
         let _ = writeln!(src, "    {line}");
     }
     let _ = writeln!(src, "L{n}:");
+    src.push_str("    addiu $s5, $s5, -1\n    bnez $s5, L0\n");
     src.push_str("    move $a0, $t0\n    li $v0, 10\n    syscall\n");
     let r = next() % 8;
     let _ = writeln!(src, "D0: addiu $t{r}, $t{r}, {}", 1 + next() % 50);
@@ -193,8 +197,14 @@ fn text_store_cycles(image: &cimon_mem::ProgramImage, config: &ProcessorConfig) 
     }
 }
 
-/// The exact FHT for a program from its recorded block trace.
+/// The exact XOR FHT for a program from its recorded block trace.
 fn trace_fht(image: &cimon_mem::ProgramImage) -> FullHashTable {
+    trace_fht_with(image, HashAlgoKind::Xor, 0)
+}
+
+/// The exact FHT for a program from its recorded block trace, hashed
+/// with `algo` (seeded with `seed`).
+fn trace_fht_with(image: &cimon_mem::ProgramImage, algo: HashAlgoKind, seed: u32) -> FullHashTable {
     let mut cpu = Processor::new(
         image,
         ProcessorConfig {
@@ -210,10 +220,35 @@ fn trace_fht(image: &cimon_mem::ProgramImage) -> FullHashTable {
             let words = b.key.addresses().map(|a| mem.read_u32(a).unwrap());
             BlockRecord {
                 key: b.key,
-                hash: hash_words(HashAlgoKind::Xor, 0, words),
+                hash: hash_words(algo, seed, words),
             }
         })
         .collect()
+}
+
+/// Monitored configurations over every hash unit — SeededXor with a
+/// nonzero seed — at IHT sizes 1 (a miss on nearly every check) and 8,
+/// each against the exact FHT for its unit. `assert_equivalent`
+/// compares the checker's `words_hashed`, checks, hits and misses (all
+/// in `RunStats::cic`) along with everything else.
+fn monitored_configs(image: &cimon_mem::ProgramImage) -> Vec<ProcessorConfig> {
+    let mut out = Vec::new();
+    for hash_algo in HashAlgoKind::ALL {
+        let hash_seed = match hash_algo {
+            HashAlgoKind::SeededXor => 0x5eed_c0de,
+            _ => 0,
+        };
+        let fht = std::sync::Arc::new(trace_fht_with(image, hash_algo, hash_seed));
+        for iht_entries in [1, 8] {
+            let cic = CicConfig {
+                iht_entries,
+                hash_algo,
+                hash_seed,
+            };
+            out.push(ProcessorConfig::monitored(cic, fht.clone()));
+        }
+    }
+    out
 }
 
 proptest! {
@@ -221,9 +256,9 @@ proptest! {
     fn clean_runs_are_identical_with_and_without_block_exec(p in arb_program()) {
         let prog = assemble(&p.source).expect("generated program assembles");
         assert_equivalent(&prog.image, &ProcessorConfig::baseline(), 100_000, |_| {});
-        let fht = trace_fht(&prog.image);
-        let config = ProcessorConfig::monitored(CicConfig::with_entries(8), fht);
-        assert_equivalent(&prog.image, &config, 100_000, |_| {});
+        for config in monitored_configs(&prog.image) {
+            assert_equivalent(&prog.image, &config, 100_000, |_| {});
+        }
     }
 
     #[test]
@@ -238,11 +273,11 @@ proptest! {
         assert_equivalent(&prog.image, &ProcessorConfig::baseline(), 100_000, |cpu| {
             cpu.set_bus_tap(Box::new(OneShot { target, bit, done: false }));
         });
-        let fht = trace_fht(&prog.image);
-        let config = ProcessorConfig::monitored(CicConfig::with_entries(8), fht);
-        assert_equivalent(&prog.image, &config, 100_000, |cpu| {
-            cpu.set_bus_tap(Box::new(OneShot { target, bit, done: false }));
-        });
+        for config in monitored_configs(&prog.image) {
+            assert_equivalent(&prog.image, &config, 100_000, |cpu| {
+                cpu.set_bus_tap(Box::new(OneShot { target, bit, done: false }));
+            });
+        }
     }
 
     #[test]
@@ -257,11 +292,9 @@ proptest! {
         // Tamper *after* construction: the block cache was built from
         // the clean image, so bulk validation must fail on the touched
         // block and the diverging word must bail to live decode.
-        let fht = trace_fht(&prog.image);
-        for config in [
-            ProcessorConfig::baseline(),
-            ProcessorConfig::monitored(CicConfig::with_entries(8), fht),
-        ] {
+        let mut configs = monitored_configs(&prog.image);
+        configs.push(ProcessorConfig::baseline());
+        for config in configs {
             assert_equivalent(&prog.image, &config, 100_000, |cpu| {
                 let old = cpu.mem().read_u32(victim).unwrap();
                 cpu.mem_mut().write_u32(victim, old ^ (1 << bit)).unwrap();
@@ -278,11 +311,9 @@ proptest! {
         // stops on the store, on the instruction right after it (the
         // first one of the split-off dispatch), or just past it.
         let prog = assemble(&p.source).expect("generated program assembles");
-        let fht = trace_fht(&prog.image);
-        for config in [
-            ProcessorConfig::baseline(),
-            ProcessorConfig::monitored(CicConfig::with_entries(8), fht),
-        ] {
+        let mut configs = monitored_configs(&prog.image);
+        configs.push(ProcessorConfig::baseline());
+        for config in configs {
             let ends = text_store_cycles(&prog.image, &config);
             if ends.is_empty() {
                 continue;
@@ -304,9 +335,9 @@ proptest! {
         // same counters.
         let prog = assemble(&p.source).expect("generated program assembles");
         assert_equivalent(&prog.image, &ProcessorConfig::baseline(), max_cycles, |_| {});
-        let fht = trace_fht(&prog.image);
-        let config = ProcessorConfig::monitored(CicConfig::with_entries(8), fht);
-        assert_equivalent(&prog.image, &config, max_cycles, |_| {});
+        for config in monitored_configs(&prog.image) {
+            assert_equivalent(&prog.image, &config, max_cycles, |_| {});
+        }
     }
 }
 
@@ -458,6 +489,88 @@ fn self_modifying_store_is_observed_exactly() {
         block_on.bailouts > 0,
         "patched word must bail: {block_on:?}"
     );
+}
+
+#[test]
+fn identical_text_rewrites_never_split_but_changing_stores_do() {
+    // A loop that stores a word over `patch` on every trip. Storing the
+    // word already there keeps the text epoch: no dispatch splits and
+    // the loop block stays on the bulk path. Storing a different word
+    // splits the dispatch that wrote it (the first trip; later trips
+    // rewrite the now-identical word). Both match stepping exactly.
+    let src = |setup: &str| {
+        format!(
+            "
+            .text
+        main:
+            li   $s0, 6
+            la   $t0, patch
+            lw   $t1, 0($t0)
+            {setup}
+        loop:
+            addiu $t2, $t2, 3
+            sw   $t1, 0($t0)
+        patch:
+            addiu $t3, $t3, 1
+            addiu $s0, $s0, -1
+            bnez $s0, loop
+            addu $a0, $t2, $t3
+            li   $v0, 10
+            syscall
+        "
+        )
+    };
+    let same = assemble(&src("nop")).unwrap();
+    let changed = assemble(&src("addiu $t1, $t1, 1")).unwrap();
+    for (prog, want_splits, code) in [(&same, 0, 24), (&changed, 1, 30)] {
+        let fht = trace_fht(&prog.image);
+        for config in [
+            ProcessorConfig::baseline(),
+            ProcessorConfig::monitored(CicConfig::with_entries(8), fht.clone()),
+        ] {
+            let monitored = config.monitor.is_some();
+            let stats = assert_equivalent(&prog.image, &config, 100_000, |_| {});
+            assert_eq!(stats.splits, want_splits, "{stats:?}");
+            let mut cpu = Processor::new(&prog.image, with_block_exec(config, true, 100_000));
+            let out = cpu.run();
+            if monitored && want_splits > 0 {
+                // The FHT hashes the original text: the patched block
+                // fails its check.
+                assert!(matches!(out, RunOutcome::Detected { .. }), "{out:?}");
+            } else {
+                assert_eq!(out, RunOutcome::Exited { code });
+            }
+            assert!(
+                cpu.mem().dense_stores() > 0,
+                "the loop stores into its text"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_block_entered_mid_digest_never_uses_the_fresh_start_memo() {
+    // `mid` is first entered fresh (by the jump), which memoizes its
+    // block's digest. Later it is reached by falling out of `top`, a
+    // straight-line run of exactly 64 instructions that the cache cuts
+    // at its size limit: that dispatch continues `top`'s running
+    // digest, so the memo from the fresh start must not stand in for
+    // hashing. Every hash unit and both table sizes must match
+    // stepping, and the run must exit clean.
+    use std::fmt::Write as _;
+    let mut src = String::from(".text\nmain:\n    li $s0, 3\n    j mid\ntop:\n");
+    for i in 0..64 {
+        let _ = writeln!(src, "    addiu $t{}, $t{}, {}", i % 8, i % 8, i + 1);
+    }
+    src.push_str("mid:\n    addiu $t0, $t0, 5\n    addiu $s0, $s0, -1\n    bnez $s0, top\n");
+    src.push_str("    move $a0, $t0\n    li $v0, 10\n    syscall\n");
+    let prog = assemble(&src).unwrap();
+    for config in monitored_configs(&prog.image) {
+        assert_equivalent(&prog.image, &config, 100_000, |_| {});
+        let mut cpu = Processor::new(&prog.image, with_block_exec(config, true, 100_000));
+        assert!(matches!(cpu.run(), RunOutcome::Exited { .. }));
+        assert_eq!(cpu.block_stats().max_block, 64, "the size cut splits `top`");
+    }
 }
 
 #[test]

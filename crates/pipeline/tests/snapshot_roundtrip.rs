@@ -239,17 +239,19 @@ proptest! {
 
 #[test]
 fn snapshot_right_after_a_text_store_split_round_trips() {
-    // Each loop trip stores `patch`'s own word back over it: the text
-    // does not change, but the store bumps the text epoch, so every
-    // bulk dispatch of the loop block splits right after the store.
-    // The cut lands on the first such split, mid-block, with the
-    // block's start and running hash carried in the datapath.
+    // The first loop trip stores `addiu $t3, $t3, 2` over `patch`'s
+    // `addiu $t3, $t3, 1`: the store changes the text, so the bulk
+    // dispatch of the loop block splits right after it. The cut lands
+    // on that split, mid-block, with the block's start and running
+    // hash carried in the datapath. (A store of the word already there
+    // would keep the text epoch and never split.)
     let src = "
         .text
     main:
         li   $s0, 5
         la   $t0, patch
         lw   $t1, 0($t0)
+        addiu $t1, $t1, 1
     loop:
         addiu $t2, $t2, 3
         sw   $t1, 0($t0)

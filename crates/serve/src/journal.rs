@@ -21,7 +21,9 @@
 //!   is compacted: the live records are written to a sibling temp file
 //!   which is fsynced and atomically renamed over the journal, so a
 //!   crash during rotation leaves either the old or the new file,
-//!   never a mixture.
+//!   never a mixture. After a compaction the next one waits until the
+//!   file has also doubled: a live set larger than the limit would
+//!   otherwise be rewritten whole on every append.
 //! * **Directory durability** — renaming or creating a file makes the
 //!   *data* durable only once the directory entry is too. The journal
 //!   therefore fsyncs its parent directory after creating the file and
@@ -132,6 +134,9 @@ pub struct Journal {
     file: File,
     bytes: u64,
     appended: u64,
+    /// Size of the file right after the last compaction (0 before
+    /// any): the next one waits until the file is twice this.
+    compacted: u64,
 }
 
 impl Journal {
@@ -185,6 +190,7 @@ impl Journal {
                 file,
                 bytes,
                 appended: 0,
+                compacted: 0,
             },
             replay,
         ))
@@ -210,10 +216,19 @@ impl Journal {
         Ok(())
     }
 
-    /// Compact the journal down to `live` if it has outgrown
-    /// `rotate_bytes`: write a sibling temp file, fsync it, and
-    /// atomically rename it over the journal. Returns whether a
-    /// rotation happened.
+    /// Whether [`Journal::rotate_if_needed`] would compact now: the file
+    /// is larger than both `rotate_bytes` and twice its size right after
+    /// the last compaction. The doubling bounds compactions to
+    /// O(log n) over n appends even when the live set alone exceeds
+    /// `rotate_bytes`, keeping the amortised cost per append constant.
+    pub fn rotation_due(&self, rotate_bytes: u64) -> bool {
+        self.bytes > rotate_bytes.max(self.compacted.saturating_mul(2))
+    }
+
+    /// Compact the journal down to `live` if
+    /// [`rotation is due`](Journal::rotation_due): write a sibling temp
+    /// file, fsync it, and atomically rename it over the journal.
+    /// Returns whether a rotation happened.
     ///
     /// # Errors
     ///
@@ -224,7 +239,7 @@ impl Journal {
         rotate_bytes: u64,
         live: &[Record],
     ) -> std::io::Result<bool> {
-        if self.bytes <= rotate_bytes {
+        if !self.rotation_due(rotate_bytes) {
             return Ok(false);
         }
         let tmp = self.path.with_extension("rotate-tmp");
@@ -241,6 +256,7 @@ impl Journal {
         fsync_parent(&self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.bytes = self.file.metadata()?.len();
+        self.compacted = self.bytes;
         Ok(true)
     }
 
@@ -385,6 +401,37 @@ mod tests {
         // Below the threshold nothing rotates.
         let mut j2 = j2;
         assert!(!j2.rotate_if_needed(1 << 20, &live).unwrap());
+    }
+
+    #[test]
+    fn oversized_live_set_rotates_logarithmically_often() {
+        // Every append is live and the threshold is tiny, so each
+        // compaction leaves the file above the threshold. Without the
+        // doubling rule every append would rewrite the whole journal.
+        let path = scratch("hysteresis");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        let mut live = Vec::new();
+        let mut rotations = 0;
+        const N: u64 = 512;
+        for i in 0..N {
+            let r = rec(i, "{\"a\":1}");
+            j.append(&r, usize::MAX).unwrap();
+            live.push(r);
+            if j.rotate_if_needed(64, &live).unwrap() {
+                rotations += 1;
+                // Compaction keeps exactly the live set.
+                let line = live[0].to_line().len() as u64;
+                assert_eq!(j.len_bytes(), line * live.len() as u64);
+            }
+        }
+        // Sizes double between compactions: about log2(N) of them.
+        assert!(rotations >= 3, "rotated {rotations} times");
+        assert!(rotations <= 10, "rotated {rotations} times for {N} appends");
+        drop(j);
+        if !chaos_mode() {
+            let (_, replay) = Journal::open(&path).unwrap();
+            assert_eq!(replay.records, live);
+        }
     }
 
     #[test]

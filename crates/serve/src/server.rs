@@ -308,7 +308,7 @@ impl Inner {
             // the result still goes out, it just will not survive a
             // restart.
             let _ = journal.append(&record, idx);
-            if journal.len_bytes() > self.cfg.journal_rotate_bytes {
+            if journal.rotation_due(self.cfg.journal_rotate_bytes) {
                 let live = self.live_records();
                 let _ = journal.rotate_if_needed(self.cfg.journal_rotate_bytes, &live);
             }

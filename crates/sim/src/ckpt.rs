@@ -88,46 +88,10 @@ pub const HEADER_LEN: usize = 16;
 /// Frame trailer: payload CRC.
 pub const TRAILER_LEN: usize = 4;
 
-/// The reflected-polynomial remainder of every possible input byte
-/// (IEEE 802.3, the same polynomial the monitored pipeline's CRC hash
-/// unit and the serve journal use).
-const CRC32_TABLE: [u32; 256] = {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE, reflected) over a byte string.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_continue(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
-}
-
-/// Extend a running CRC-32 with more bytes. `state` is the *raw*
-/// register (pass `crc ^ 0xFFFF_FFFF` to continue from a finished
-/// [`crc32`] digest); the caller applies the final inversion. The serve
-/// layer's per-row CRC chain is built on this.
-pub fn crc32_continue(state: u32, bytes: &[u8]) -> u32 {
-    let mut crc = state;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    crc
-}
+/// CRC-32 (IEEE, reflected) — the one implementation in `cimon_core`,
+/// re-exported under the names the frame format and the serve layer
+/// use.
+pub use cimon_core::hash::{crc32, crc32_continue};
 
 /// How a scanned frame classified.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
